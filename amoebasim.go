@@ -32,7 +32,6 @@ package amoebasim
 import (
 	"amoebasim/internal/apps"
 	"amoebasim/internal/bench"
-	"amoebasim/internal/bypass"
 	"amoebasim/internal/cluster"
 	"amoebasim/internal/model"
 	"amoebasim/internal/orca"
@@ -73,7 +72,7 @@ type (
 	Mode = panda.Mode
 	// Dispatch selects the kernel-bypass receive dispatch discipline
 	// (poll, interrupt or hybrid); the other implementations ignore it.
-	Dispatch = bypass.Dispatch
+	Dispatch = panda.Dispatch
 	// Transport is the Panda interface (RPC + totally-ordered groups).
 	Transport = panda.Transport
 	// RPCContext identifies an in-progress server-side RPC.
@@ -181,12 +180,12 @@ const (
 const (
 	// DispatchPoll spins on the completion ring (lowest latency, burns a
 	// core) — the canonical kernel-bypass configuration and the default.
-	DispatchPoll = bypass.Poll
+	DispatchPoll = panda.Poll
 	// DispatchInterrupt parks the consumer and pays a wakeup dispatch per
 	// doorbell, like the paper's kernel receive path.
-	DispatchInterrupt = bypass.Interrupt
+	DispatchInterrupt = panda.Interrupt
 	// DispatchHybrid polls briefly after traffic, then parks.
-	DispatchHybrid = bypass.Hybrid
+	DispatchHybrid = panda.Hybrid
 )
 
 // Thread priorities.
@@ -270,7 +269,7 @@ func OpenTraceStream(path string) (*Trace, func() (TraceEventSource, error), err
 
 // ParseDispatch parses a kernel-bypass dispatch mode name ("poll",
 // "interrupt", "hybrid"; empty defaults to poll).
-func ParseDispatch(s string) (Dispatch, error) { return bypass.ParseDispatch(s) }
+func ParseDispatch(s string) (Dispatch, error) { return panda.ParseDispatch(s) }
 
 // SaveTrace writes a recorded trace deterministically (re-recording an
 // identical run reproduces identical bytes).

@@ -57,7 +57,6 @@ import (
 
 	"amoebasim/internal/apps"
 	"amoebasim/internal/bench"
-	"amoebasim/internal/bypass"
 	"amoebasim/internal/causal"
 	"amoebasim/internal/cluster"
 	"amoebasim/internal/faults"
@@ -126,7 +125,7 @@ func main() {
 	// Profiling teardown must run on every exit path, so the flag
 	// families dispatch through a closure that returns instead of exiting.
 	dispatch := func() error {
-		disp, err := bypass.ParseDispatch(*dispatchF)
+		disp, err := panda.ParseDispatch(*dispatchF)
 		if err != nil {
 			return err
 		}
@@ -453,9 +452,9 @@ type workloadArgs struct {
 	think, window, warmup                     time.Duration
 	knee                                      bool
 	seed                                      uint64
-	dispatch                                  bypass.Dispatch // bypass receive dispatch mode
-	decomp                                    bool   // collect per-load-point phase breakdowns
-	decompPath                                string // also write the DECOMP artifact (cells + load points)
+	dispatch                                  panda.Dispatch // bypass receive dispatch mode
+	decomp                                    bool           // collect per-load-point phase breakdowns
+	decompPath                                string         // also write the DECOMP artifact (cells + load points)
 }
 
 // workloadSweepConfig validates the flag family and assembles the sweep
@@ -547,7 +546,7 @@ func workloadSweepConfig(a workloadArgs) (bench.WorkloadSweepConfig, error) {
 // runScalability drives the knee-vs-cluster-size sweep over the sequencer
 // strategies, prints the curves, and optionally writes the machine-readable
 // artifact and applies the zero-drift gate against a committed baseline.
-func runScalability(jsonPath, baseline, mixFlag, distFlag string, window time.Duration, fanIn int, disp bypass.Dispatch, seed uint64, jobs int) error {
+func runScalability(jsonPath, baseline, mixFlag, distFlag string, window time.Duration, fanIn int, disp panda.Dispatch, seed uint64, jobs int) error {
 	mix, err := workload.ParseMix(mixFlag)
 	if err != nil {
 		return err

@@ -42,7 +42,7 @@ func newCluster(cfg cluster.Config) (*cluster.Cluster, error) {
 
 // systemSender is the system-layer primitive of Table 1's
 // unicast/multicast columns, implemented by the user-space transport
-// (*panda.User) and the kernel-bypass transport (*bypass.Endpoint).
+// (*panda.User) and the kernel-bypass transport (*panda.QP).
 type systemSender interface {
 	HandleRaw(panda.RawHandler)
 	SystemSend(t *proc.Thread, dest int, payload any, size int, multicast bool)

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"amoebasim/internal/akernel"
-	"amoebasim/internal/bypass"
 	"amoebasim/internal/ether"
 	"amoebasim/internal/faults"
 	"amoebasim/internal/flip"
@@ -58,7 +57,7 @@ type Config struct {
 	Mode panda.Mode
 	// Dispatch selects the completion-queue dispatch mode of the bypass
 	// implementation (zero: poll). Ignored by the other modes.
-	Dispatch bypass.Dispatch
+	Dispatch panda.Dispatch
 	// Group enables totally-ordered group communication among all
 	// workers.
 	Group bool
@@ -287,7 +286,7 @@ func (cfg Config) Validate() error {
 	if cfg.Par < 0 {
 		return fmt.Errorf("cluster: negative parallel worker count %d", cfg.Par)
 	}
-	if cfg.Dispatch != 0 && (cfg.Dispatch < bypass.Poll || cfg.Dispatch > bypass.Hybrid) {
+	if cfg.Dispatch != 0 && (cfg.Dispatch < panda.Poll || cfg.Dispatch > panda.Hybrid) {
 		return fmt.Errorf("cluster: unknown dispatch mode %v", cfg.Dispatch)
 	}
 	return nil
@@ -473,11 +472,10 @@ func New(cfg Config) (*Cluster, error) {
 				}
 			}
 			if cfg.Mode == panda.Bypass {
-				if _, err := bypass.New(c.Procs[id], c.Net, c.placement[id], bypass.Config{
-					NICBase:   total,
-					Groups:    owned,
-					Dispatch:  cfg.Dispatch,
-					Dedicated: true,
+				if _, err := panda.NewQP(c.Procs[id], c.Net, c.placement[id], panda.QPConfig{
+					NICBase:  total,
+					Groups:   owned,
+					Dispatch: cfg.Dispatch,
 				}); err != nil {
 					return nil, fmt.Errorf("cluster: bypass sequencer %d: %w", id, err)
 				}
@@ -535,7 +533,7 @@ func (c *Cluster) newTransport(i int, specs []panda.GroupSpec) (panda.Transport,
 		// Bypass queue-pair NICs are created after the kernels' FLIP NICs
 		// in processor order, so processor j's QP answers at NIC id
 		// totalProcs + j (static routing, no locate traffic).
-		return bypass.New(c.Procs[i], c.Net, c.placement[i], bypass.Config{
+		return panda.NewQP(c.Procs[i], c.Net, c.placement[i], panda.QPConfig{
 			NICBase:  c.cfg.totalProcs(),
 			Groups:   specs,
 			Dispatch: c.cfg.Dispatch,

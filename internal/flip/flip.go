@@ -710,10 +710,17 @@ func (r *Reassembler) SetLimit(n int) {
 // Add consumes a fragment. It returns true exactly once per message, when
 // the final missing fragment arrives. Duplicate fragments are ignored.
 func (r *Reassembler) Add(pk *Packet) bool {
-	if pk.NFrags <= 1 {
+	return r.AddFrag(pk.Src, pk.MsgID, pk.Frag, pk.NFrags)
+}
+
+// AddFrag is Add for a fragment given by its fields — fragment frag of
+// the nfrags making up message msgID from src — so a data path with its
+// own frame type (the kernel-bypass queue pair) shares this reassembler.
+func (r *Reassembler) AddFrag(src Address, msgID uint64, frag, nfrags int) bool {
+	if nfrags <= 1 {
 		return true
 	}
-	key := reasmKey{src: pk.Src, msgID: pk.MsgID}
+	key := reasmKey{src: src, msgID: msgID}
 	stt := r.partial[key]
 	now := r.sim.Now()
 	if stt != nil && now > stt.deadline {
@@ -727,12 +734,12 @@ func (r *Reassembler) Add(pk *Packet) bool {
 			r.reclaim(now)
 		}
 		r.seq++
-		stt = r.allocState(pk.NFrags)
+		stt = r.allocState(nfrags)
 		stt.seq = r.seq
 		r.partial[key] = stt
 	}
 	stt.deadline = now.Add(r.timeout)
-	if !stt.mark(pk.Frag) {
+	if !stt.mark(frag) {
 		return false
 	}
 	stt.count++

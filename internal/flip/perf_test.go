@@ -85,6 +85,26 @@ func TestReassemblerStateReuseZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestReassemblerSingleFragmentZeroAlloc: the steady-state receive path
+// of the kernel-bypass queue pair — one frame per message, by far the
+// common case at the paper's sizes — goes through AddFrag and must not
+// touch the partial-message pool or allocate at all.
+func TestReassemblerSingleFragmentZeroAlloc(t *testing.T) {
+	s := sim.New()
+	re := NewReassembler(s, 500*time.Millisecond)
+	avg := testing.AllocsPerRun(1000, func() {
+		if !re.AddFrag(1, 7, 0, 1) {
+			t.Fatal("single-fragment message did not complete")
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("single-fragment add allocates %.2f objects/op, budget is 0", avg)
+	}
+	if re.Pending() != 0 {
+		t.Fatalf("single-fragment messages left %d partials", re.Pending())
+	}
+}
+
 // unicastSteadyStateBudget is the allocation budget for one complete
 // warm-routed unicast send+receive. The packet itself is pooled; the
 // residual (7 objects measured) is the event closures of the ether and

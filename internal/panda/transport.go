@@ -1,5 +1,6 @@
 // Package panda implements the Panda communication platform that the Orca
-// runtime system is built on, in both variants the paper compares:
+// runtime system is built on, in both variants the paper compares plus a
+// modern third column:
 //
 //   - UserSpace: Panda's own protocols — a 2-way stop-and-wait RPC with
 //     piggybacked acknowledgements, and a sequencer-based totally-ordered
@@ -9,9 +10,13 @@
 //     group protocols, working around their restrictions (the
 //     same-thread get_request/put_reply rule) at the cost of extra
 //     context switches.
+//   - Bypass: the same Panda protocols as UserSpace, over a user-mapped
+//     NIC queue pair instead of FLIP.
 //
-// Both variants implement the same Transport interface, so the Orca RTS
-// and the benchmarks are implementation-agnostic.
+// Panda's protocols exist once (core), over a link: the raw FLIP
+// interface (User) or the queue pair (QP). Every variant implements the
+// same Transport interface, so the Orca RTS and the benchmarks are
+// implementation-agnostic.
 package panda
 
 import (
@@ -32,7 +37,7 @@ const (
 	UserSpace
 	// Bypass runs Panda's protocols over a user-mapped NIC queue pair:
 	// no syscall crossing, no kernel copy, poll/interrupt/hybrid dispatch
-	// (implemented by internal/bypass).
+	// (see QP).
 	Bypass
 )
 
@@ -81,17 +86,6 @@ type RPCContext struct {
 
 	impl any
 }
-
-// NewRPCContext builds a context for a Transport implementation living
-// outside this package (the kernel-bypass transport): impl is the
-// implementation's private per-call state, recovered with Impl at Reply
-// time.
-func NewRPCContext(from int, impl any) *RPCContext {
-	return &RPCContext{From: from, impl: impl}
-}
-
-// Impl returns the implementation-private state the context carries.
-func (c *RPCContext) Impl() any { return c.impl }
 
 // RPCHandler is the implicit-receipt upcall for incoming RPC requests. It
 // runs in a daemon thread (t) and must run to completion quickly; long
@@ -158,9 +152,10 @@ type Transport interface {
 }
 
 // NonblockingSender is the §6 "future work" extension, implemented by the
-// user-space transport only: a broadcast that does not wait for the
-// sequencer round trip. Total ordering of delivery is preserved; the
-// sender continues immediately.
+// user-space transport only — not by the kernel-bypass QP, whose Table 3
+// rows are measured with blocking broadcasts: a broadcast that does not
+// wait for the sequencer round trip. Total ordering of delivery is
+// preserved; the sender continues immediately.
 type NonblockingSender interface {
 	GroupSendNB(t *proc.Thread, payload any, size int) error
 }

@@ -69,7 +69,7 @@ func TestWhiteboxBBFlow(t *testing.T) {
 	}
 	t.Logf("stopped at %v after %d events, pending %d", s.Now(), s.EventsRun(), s.Pending())
 	if sendErr != nil || sent != 3 || got[0] != 3 || got[1] != 3 || got[2] != 3 {
-		grp := func(i int) *userGroup { return users[i].grps[0] }
+		grp := func(i int) *groupProto { return users[i].grps[0] }
 		g0 := grp(0)
 		t.Fatalf("stall: sent=%d err=%v got=%v | seq: seqno=%d hist=%d acked=%v | members nextDeliver=%d,%d,%d holdback=%d,%d,%d bbData=%d,%d,%d bbAccept=%d,%d,%d pending=%d",
 			sent, sendErr, got, g0.seqno, len(g0.history), g0.acked,

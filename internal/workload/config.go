@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"amoebasim/internal/bypass"
 	"amoebasim/internal/causal"
 	"amoebasim/internal/cluster"
 	"amoebasim/internal/metrics"
@@ -288,7 +287,7 @@ type Config struct {
 	Topology *cluster.Topology
 	// Dispatch is the kernel-bypass receive dispatch mode (zero: poll).
 	// The other implementations ignore it.
-	Dispatch bypass.Dispatch
+	Dispatch panda.Dispatch
 	// Loop is the generation discipline (default OpenLoop).
 	Loop Loop
 	// Clients is the client-population size (default 2·Procs).
