@@ -35,7 +35,6 @@
 //	amoebasim -scalability-json F  scalability sweep as a JSON artifact ("auto": SCALE_<date>.json)
 //	amoebasim -scalability-baseline F  zero-drift gate against a committed SCALE_*.json
 //	amoebasim -perf             single-run performance cells (events/sec)
-//	amoebasim -par N            partitioned-engine worker count for -perf (default 1)
 //	amoebasim -perf-json F      perf cells as a PERF artifact ("auto": PERF_<date>.json)
 //	amoebasim -perf-baseline F  zero-drift gate on the perf cells' simulated results
 //	amoebasim -cpuprofile F     write a pprof CPU profile of the run to F
@@ -114,8 +113,7 @@ func main() {
 		traceCap   = flag.Int("trace-cap", 0, "trace ring-buffer capacity in events (0: 65536 default)")
 		wlDecomp   = flag.Bool("wl-decomp", false, "with -workload: collect per-phase latency breakdowns at each load point")
 		dispatchF  = flag.String("dispatch", "poll", "bypass receive dispatch mode: poll, interrupt or hybrid (other implementations ignore it)")
-		par        = flag.Int("par", 1, "partitioned-engine worker count for single-run parallel execution (<=1: single-queue engine)")
-		perfF      = flag.Bool("perf", false, "run the single-run performance cells (events/sec at -par workers)")
+		perfF      = flag.Bool("perf", false, "run the single-run performance cells (set-up time and events/sec)")
 		perfJSON   = flag.String("perf-json", "", "write the perf cells as a PERF artifact ('auto': PERF_<date>.json)")
 		perfBase   = flag.String("perf-baseline", "", "compare the perf cells against this committed PERF_*.json baseline (zero drift on simulated results)")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -130,7 +128,7 @@ func main() {
 			return err
 		}
 		if *perfF || *perfJSON != "" || *perfBase != "" {
-			return runPerf(*perfJSON, *perfBase, *par, *seed, *wallBudget)
+			return runPerf(*perfJSON, *perfBase, *seed, *wallBudget)
 		}
 		if *scalab || *scalabJ != "" || *scalabBase != "" {
 			return runScalability(*scalabJ, *scalabBase, *mixFlag, *distFlag, *wlWindow, *wlFanIn, disp, *seed, *jobs)
@@ -693,22 +691,15 @@ func runWorkload(a workloadArgs) error {
 	return nil
 }
 
-// runPerf runs the single-run performance cells at the -par worker
-// count, prints the events/sec table, writes the PERF artifact, and
-// gates the simulated results against a committed baseline. The gate
-// ignores the worker count: a -par 4 run must produce the simulated
-// results of the -par 1 baseline, byte for byte.
-func runPerf(jsonPath, baseline string, par int, seed uint64, wallBudget time.Duration) error {
-	art, err := bench.RunPerf(bench.PerfConfig{Par: par, Seed: seed})
+// runPerf runs the single-run performance cells, prints the set-up
+// and events/sec table, writes the PERF artifact, and gates the
+// simulated results against a committed baseline.
+func runPerf(jsonPath, baseline string, seed uint64, wallBudget time.Duration) error {
+	art, err := bench.RunPerf(bench.PerfConfig{Seed: seed})
 	if err != nil {
 		return err
 	}
 	bench.PrintPerf(os.Stdout, art)
-	for _, c := range art.Cells {
-		if par > 1 && c.Partitions <= 1 {
-			fmt.Printf("note: %s fell back to the single-queue engine (no safe partitioning)\n", c.Name)
-		}
-	}
 	if jsonPath != "" {
 		path := jsonPath
 		if path == "auto" {

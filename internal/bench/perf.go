@@ -3,11 +3,10 @@ package bench
 // Single-run performance cells: how fast the simulator itself executes,
 // measured as scheduler events per second of host time on fixed
 // workloads. Two cells bracket the range — a 32-processor pool (the
-// paper's scale) and a 1000-processor, 128-segment pool (the scale the
-// partitioned engine exists for). Each cell's simulated results (ops,
-// events, final clock, per-client checksum) are a pure function of the
-// configuration and must be byte-identical at every -par worker count;
-// only the wall-clock and events/sec fields are host-dependent.
+// paper's scale) and a 1000-processor, 128-segment pool (well beyond
+// it). Each cell's simulated results (ops, events, final clock,
+// per-client checksum) are a pure function of the configuration; only
+// the set-up, wall-clock and events/sec fields are host-dependent.
 
 import (
 	"encoding/json"
@@ -31,12 +30,11 @@ const PerfSchemaVersion = 1
 
 // PerfArtifact is the machine-readable single-run performance baseline
 // (PERF_*.json). The per-cell simulated fields are gated with zero drift
-// tolerance; Par, WallMS and EventsPerSec are informational.
+// tolerance; SetupMS, WallMS and EventsPerSec are informational.
 type PerfArtifact struct {
 	SchemaVersion int        `json:"schema_version"`
 	GeneratedAt   string     `json:"generated_at,omitempty"` // RFC 3339, informational
 	Seed          uint64     `json:"seed"`
-	Par           int        `json:"par"` // worker count the run used, informational
 	Cells         []PerfCell `json:"cells"`
 }
 
@@ -47,30 +45,28 @@ type PerfCell struct {
 	Segments int     `json:"segments"`
 	WindowMS float64 `json:"window_ms"`
 
-	// Deterministic results, gated against the baseline and identical at
-	// every worker count. Checksum folds every client's completed-call
-	// count and accumulated latency, so a single reordered interaction
-	// anywhere in the run changes the cell.
+	// Deterministic results, gated against the baseline. Checksum folds
+	// every client's completed-call count and accumulated latency, so a
+	// single reordered interaction anywhere in the run changes the cell.
 	Ops      int64  `json:"ops"`
 	Events   uint64 `json:"events"`
 	SimNS    int64  `json:"sim_ns"`
 	Checksum uint64 `json:"checksum"`
 
 	// Host-dependent measurements, never gated.
-	Partitions   int     `json:"partitions"`     // engaged event-queue partitions
+	SetupMS      float64 `json:"setup_ms"`       // host time for cluster.New (routes warmed), handlers, threads
 	WallMS       float64 `json:"wall_ms"`        // host time for the window
 	EventsPerSec float64 `json:"events_per_sec"` // Events / wall seconds
 }
 
 // PerfConfig parameterizes the perf run.
 type PerfConfig struct {
-	Par  int    // partition-engine worker count (<=1: single-queue engine)
 	Seed uint64 // cluster seed, part of the gated configuration
 }
 
 // perfShapes are the fixed cells. The windows comfortably exceed the
-// client start stagger (13µs per client, spreading the partitions'
-// first interactions apart in simulated time).
+// client start stagger (13µs per client, spreading the clients' first
+// calls apart in simulated time).
 var perfShapes = []struct {
 	name     string
 	procs    int
@@ -81,13 +77,12 @@ var perfShapes = []struct {
 	{"perf/1000proc-128seg", 1000, 128, 250 * time.Millisecond},
 }
 
-// RunPerf executes every perf cell at the given worker count.
+// RunPerf executes every perf cell.
 func RunPerf(cfg PerfConfig) (*PerfArtifact, error) {
 	art := &PerfArtifact{
 		SchemaVersion: PerfSchemaVersion,
 		GeneratedAt:   time.Now().UTC().Format(time.RFC3339),
 		Seed:          cfg.Seed,
-		Par:           cfg.Par,
 	}
 	for _, sh := range perfShapes {
 		cell, err := runPerfCell(sh.name, sh.procs, sh.segments, sh.window, cfg)
@@ -101,12 +96,14 @@ func RunPerf(cfg PerfConfig) (*PerfArtifact, error) {
 
 // runPerfCell drives a cross-segment unicast echo-RPC workload — a
 // client on each upper-half processor calling the same-index lower-half
-// server — for one simulated window, and measures the host cost.
+// server — for one simulated window, and measures the host cost of
+// setting the pool up and of running the window.
 func runPerfCell(name string, procs, segments int, window time.Duration, cfg PerfConfig) (PerfCell, error) {
 	ccfg := cluster.Config{
 		Procs: procs, Mode: panda.UserSpace, Seed: cfg.Seed,
-		WarmRoutes: true, Par: cfg.Par, Segments: segments,
+		WarmRoutes: true, Segments: segments,
 	}
+	setupStart := time.Now()
 	c, err := cluster.New(ccfg)
 	if err != nil {
 		return PerfCell{}, err
@@ -139,18 +136,19 @@ func runPerfCell(name string, procs, segments int, window time.Duration, cfg Per
 	}
 
 	start := time.Now()
+	setup := start.Sub(setupStart)
 	c.RunUntil(sim.Time(window))
 	wall := time.Since(start)
 
 	cell := PerfCell{
-		Name:       name,
-		Procs:      procs,
-		Segments:   c.Net.Segments(),
-		WindowMS:   msFloat(window),
-		Events:     c.EventsRun(),
-		SimNS:      int64(c.Sim.Now()),
-		Partitions: c.Partitions(),
-		WallMS:     msFloat(wall),
+		Name:     name,
+		Procs:    procs,
+		Segments: c.Net.Segments(),
+		WindowMS: msFloat(window),
+		Events:   c.EventsRun(),
+		SimNS:    int64(c.Sim.Now()),
+		SetupMS:  msFloat(setup),
+		WallMS:   msFloat(wall),
 	}
 	for i := range ops {
 		cell.Ops += ops[i]
@@ -179,11 +177,11 @@ func mixPerf(h, v uint64) uint64 {
 // PrintPerf renders the perf cells as a table.
 func PrintPerf(w io.Writer, art *PerfArtifact) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "cell\tprocs\tsegs\tparts\tops\tevents\twall\tevents/sec\n")
+	fmt.Fprintf(tw, "cell\tprocs\tsegs\tops\tevents\tsetup\twall\tevents/sec\n")
 	for _, c := range art.Cells {
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%.0fms\t%.2fM\n",
-			c.Name, c.Procs, c.Segments, c.Partitions, c.Ops, c.Events,
-			c.WallMS, c.EventsPerSec/1e6)
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%.0fms\t%.0fms\t%.2fM\n",
+			c.Name, c.Procs, c.Segments, c.Ops, c.Events,
+			c.SetupMS, c.WallMS, c.EventsPerSec/1e6)
 	}
 	tw.Flush()
 }
@@ -213,11 +211,9 @@ func LoadPerfArtifact(path string) (*PerfArtifact, error) {
 }
 
 // ComparePerf is the perf regression gate: every deterministic field of
-// every cell must exactly equal the baseline — regardless of the worker
-// count either side ran with, since parallel execution is required to be
-// result-identical. Wall-clock and events/sec are host-dependent and
-// only checked against wallBudget (the summed wall of all cells; 0
-// disables the check).
+// every cell must exactly equal the baseline. Set-up time, wall-clock
+// and events/sec are host-dependent and only checked against wallBudget
+// (the summed set-up plus wall time of all cells; 0 disables the check).
 func ComparePerf(baseline, current *PerfArtifact, wallBudget time.Duration) error {
 	if baseline.SchemaVersion != current.SchemaVersion {
 		return fmt.Errorf("perf baseline schema v%d != current v%d: regenerate the baseline",
@@ -240,7 +236,7 @@ func ComparePerf(baseline, current *PerfArtifact, wallBudget time.Duration) erro
 	}
 	var wall float64
 	for _, c := range current.Cells {
-		wall += c.WallMS
+		wall += c.SetupMS + c.WallMS
 		want, ok := cells[c.Name]
 		if !ok {
 			drift("%s: cell missing from baseline", c.Name)
@@ -265,7 +261,7 @@ func ComparePerf(baseline, current *PerfArtifact, wallBudget time.Duration) erro
 		}
 	}
 	if wallBudget > 0 && wall > msFloat(wallBudget) {
-		drift("wall-clock: perf cells took %.0fms, budget %v", wall, wallBudget)
+		drift("wall-clock: perf cells took %.0fms (set-up + run), budget %v", wall, wallBudget)
 	}
 	if len(drifts) > 0 {
 		return fmt.Errorf("perf baseline drift (%d):\n  %s", len(drifts), strings.Join(drifts, "\n  "))

@@ -6,63 +6,48 @@ import (
 	"time"
 )
 
-// TestPerfCellParIdentity: the perf cell's deterministic fields are
-// identical whether the run used the single-queue engine or the
-// partitioned engine with 4 workers (a short window keeps this fast; the
-// full-size cells are gated in CI through the PERF baseline).
-func TestPerfCellParIdentity(t *testing.T) {
-	seq, err := runPerfCell("perf/32proc", 32, 0, 20*time.Millisecond, PerfConfig{Par: 1, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := runPerfCell("perf/32proc", 32, 0, 20*time.Millisecond, PerfConfig{Par: 4, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Partitions <= 1 {
-		t.Fatalf("partitioned engine did not engage: %d partitions", par.Partitions)
-	}
-	if seq.Ops != par.Ops || seq.Events != par.Events ||
-		seq.SimNS != par.SimNS || seq.Checksum != par.Checksum {
-		t.Fatalf("par=4 diverged from sequential:\nseq %+v\npar %+v", seq, par)
-	}
-}
-
 // TestComparePerfCatchesDrift: the gate flags a changed deterministic
-// field and ignores the host-dependent ones.
+// field and ignores the host-dependent ones, set-up time included.
 func TestComparePerfCatchesDrift(t *testing.T) {
 	mk := func() *PerfArtifact {
 		return &PerfArtifact{
-			SchemaVersion: PerfSchemaVersion, Seed: 5, Par: 1,
+			SchemaVersion: PerfSchemaVersion, Seed: 5,
 			Cells: []PerfCell{{
 				Name: "perf/32proc", Procs: 32, Segments: 4, WindowMS: 200,
 				Ops: 100, Events: 5000, SimNS: 42, Checksum: 7,
-				Partitions: 1, WallMS: 12, EventsPerSec: 1e6,
+				SetupMS: 3, WallMS: 12, EventsPerSec: 1e6,
 			}},
 		}
 	}
 	base, cur := mk(), mk()
-	cur.Par = 4
-	cur.Cells[0].Partitions = 4
+	cur.Cells[0].SetupMS = 5000
 	cur.Cells[0].WallMS = 99
 	cur.Cells[0].EventsPerSec = 5e6
 	if err := ComparePerf(base, cur, 0); err != nil {
 		t.Fatalf("host-dependent fields must not gate: %v", err)
 	}
+	// The wall budget covers set-up plus run: 5000+99ms fits 6s, not 5s.
+	if err := ComparePerf(base, cur, 6*time.Second); err != nil {
+		t.Fatalf("set-up plus wall within budget flagged: %v", err)
+	}
+	err := ComparePerf(base, cur, 5*time.Second)
+	if err == nil || !strings.Contains(err.Error(), "wall-clock") {
+		t.Fatalf("set-up time not counted against the wall budget: %v", err)
+	}
 	cur.Cells[0].Events++
-	err := ComparePerf(base, cur, 0)
+	err = ComparePerf(base, cur, 0)
 	if err == nil || !strings.Contains(err.Error(), "events") {
 		t.Fatalf("drifted event count not caught: %v", err)
 	}
 }
 
 // BenchmarkBigRun1000Procs is the macro benchmark: the 1000-processor,
-// 128-segment perf cell on the single-queue engine, reporting simulator
+// 128-segment perf cell, reporting simulator
 // throughput as scheduler events per second of host time.
 func BenchmarkBigRun1000Procs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cell, err := runPerfCell("perf/1000proc-128seg", 1000, 128,
-			250*time.Millisecond, PerfConfig{Par: 1, Seed: 5})
+			250*time.Millisecond, PerfConfig{Seed: 5})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -115,18 +115,6 @@ type Config struct {
 	// layer records its counters; when false the hot paths stay
 	// branch-only (no registry, no allocation).
 	Metrics bool
-	// Par requests conservative parallel execution of this one simulation
-	// with up to Par worker goroutines, partitioned by ether segment
-	// (flat) or switch group (hierarchical). Results are byte-identical
-	// to the single-queue engine; the partition count is a property of
-	// the topology, not of Par, so every Par > 1 produces identical
-	// results by construction. The parallel engine engages only for
-	// configurations whose cross-processor interactions all flow through
-	// ether frames: group communication, metrics, causal tracing, fault
-	// injection and loss keep the proven single-queue engine regardless
-	// of Par (as does a single-partition topology). Values <= 1 always
-	// run single-queue.
-	Par int
 	// Causal installs a causal tracer on the simulation before any kernel
 	// boots, so every operation is decomposed from the first event on. Nil
 	// (the default) keeps the causal hooks branch-only.
@@ -137,15 +125,11 @@ type Config struct {
 
 // Cluster is a running simulated pool.
 type Cluster struct {
-	// Sim is the simulation clock. Under parallel execution it is
-	// partition 0's simulator — Now() is only meaningful between runs
-	// (RunUntil leaves every partition at the same instant).
+	// Sim is the one simulator every processor, NIC and protocol layer
+	// of the pool schedules on: a single event queue in (at, seq) order.
 	Sim        *sim.Sim
 	Model      *model.CostModel
 	Net        *ether.Network
-	// Par is the conservative parallel execution group, or nil when the
-	// cluster runs on the single-queue engine (see Config.Par).
-	Par *sim.Group
 	Procs      []*proc.Processor
 	Kernels    []*akernel.Kernel
 	Transports []panda.Transport // indexed by worker processor id
@@ -283,9 +267,6 @@ func (cfg Config) Validate() error {
 	if cfg.LossRate < 0 || cfg.LossRate > 1 {
 		return fmt.Errorf("cluster: loss rate %g outside [0, 1]", cfg.LossRate)
 	}
-	if cfg.Par < 0 {
-		return fmt.Errorf("cluster: negative parallel worker count %d", cfg.Par)
-	}
 	if cfg.Dispatch != 0 && (cfg.Dispatch < panda.Poll || cfg.Dispatch > panda.Hybrid) {
 		return fmt.Errorf("cluster: unknown dispatch mode %v", cfg.Dispatch)
 	}
@@ -306,37 +287,7 @@ func New(cfg Config) (*Cluster, error) {
 	total := cfg.totalProcs()
 	segs := cfg.segmentCount()
 
-	// Conservative parallel execution partitions the pool by ether
-	// locality: one partition per segment in the flat pool, one per
-	// switch group in a hierarchy (segments under one leaf switch share
-	// uplink state, so the group is the unit of parallelism). The engine
-	// engages only when every cross-processor interaction flows through
-	// ether frames — group communication, metrics, causal tracing, fault
-	// injection and loss all keep the single-queue engine.
-	fanIn := cfg.Topology.SwitchFanIn
-	hier := fanIn > 0 && fanIn < segs
-	partOfSeg := make([]int, segs)
-	for i := range partOfSeg {
-		if hier {
-			partOfSeg[i] = i / fanIn
-		} else {
-			partOfSeg[i] = i
-		}
-	}
-	parts := partOfSeg[segs-1] + 1
-	partitioned := cfg.Par > 1 && parts > 1 && !cfg.Group && !cfg.Metrics &&
-		cfg.Causal == nil && cfg.Faults == nil && cfg.FaultScenario == "" && cfg.LossRate == 0
-
-	var sims []*sim.Sim
-	if partitioned {
-		sims = make([]*sim.Sim, parts)
-		for i := range sims {
-			sims[i] = sim.New()
-		}
-	} else {
-		sims = []*sim.Sim{sim.New()}
-	}
-	s := sims[0]
+	s := sim.New()
 	var reg *metrics.Registry
 	if cfg.Metrics {
 		reg = metrics.NewRegistry()
@@ -361,19 +312,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.LossRate > 0 {
 		c.Net.SetLossRate(cfg.LossRate)
 	}
-	if partitioned {
-		segSims := make([]*sim.Sim, segs)
-		for i := range segSims {
-			segSims[i] = sims[partOfSeg[i]]
-		}
-		var upSims []*sim.Sim
-		if hier {
-			upSims = sims
-		}
-		c.Net.Partition(segSims, upSims)
-		c.Par = sim.NewGroup(sims, c.Net.PartitionLookahead(), cfg.Par)
-	}
-
 	// Balanced contiguous placement: processor i on segment i*segs/total,
 	// so every segment is populated and per-segment counts differ by at
 	// most one. (The old i/8%segs formula stranded the whole pool on
@@ -440,11 +378,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 
 	for i := 0; i < total; i++ {
-		ps := s
-		if partitioned {
-			ps = sims[partOfSeg[c.placement[i]]]
-		}
-		p := proc.New(ps, m, i, fmt.Sprintf("cpu%d", i))
+		p := proc.New(s, m, i, fmt.Sprintf("cpu%d", i))
 		k, err := akernel.New(p, c.Net, c.placement[i])
 		if err != nil {
 			return nil, fmt.Errorf("cluster: boot kernel %d: %w", i, err)
@@ -544,42 +478,14 @@ func (c *Cluster) newTransport(i int, specs []panda.GroupSpec) (panda.Transport,
 }
 
 // Run drives the simulation until no events remain.
-func (c *Cluster) Run() {
-	if c.Par != nil {
-		c.Par.Run()
-		return
-	}
-	c.Sim.Run()
-}
+func (c *Cluster) Run() { c.Sim.Run() }
 
 // RunUntil drives the simulation up to the given instant.
-func (c *Cluster) RunUntil(t sim.Time) {
-	if c.Par != nil {
-		c.Par.RunUntil(t)
-		return
-	}
-	c.Sim.RunUntil(t)
-}
+func (c *Cluster) RunUntil(t sim.Time) { c.Sim.RunUntil(t) }
 
-// EventsRun reports the total scheduler events executed, summed over all
-// partitions under parallel execution. The count is engine-independent
-// (a cross-partition send costs exactly one event either way), so it is
-// a deterministic, regression-gateable measure of simulation work.
-func (c *Cluster) EventsRun() uint64 {
-	if c.Par != nil {
-		return c.Par.EventsRun()
-	}
-	return c.Sim.EventsRun()
-}
-
-// Partitions reports how many event-queue partitions the cluster runs on
-// (1 on the single-queue engine).
-func (c *Cluster) Partitions() int {
-	if c.Par != nil {
-		return len(c.Par.Parts())
-	}
-	return 1
-}
+// EventsRun reports the total scheduler events executed: a
+// deterministic, regression-gateable measure of simulation work.
+func (c *Cluster) EventsRun() uint64 { return c.Sim.EventsRun() }
 
 // Shutdown terminates all simulated threads; call when done to avoid
 // leaking goroutines across runs.

@@ -88,7 +88,6 @@ type NIC struct {
 // Segment is one shared Ethernet cable.
 type Segment struct {
 	id        int
-	sm        *sim.Sim // partition simulator owning this segment
 	busyUntil sim.Time
 	nics      []*NIC
 
@@ -130,7 +129,6 @@ const (
 // earlier traffic for their transmission time, then pay the link latency.
 type uplink struct {
 	group     int
-	sm        *sim.Sim // partition simulator owning this switch group
 	busyUntil sim.Time
 
 	frames int64
@@ -143,11 +141,11 @@ type uplink struct {
 // Network is the full pool interconnect: segments plus a switch, or — in
 // hierarchical mode — leaf switches over segment groups joined by uplinks.
 type Network struct {
-	sim      *sim.Sim
-	m        *model.CostModel
-	segments []*Segment
-	nics     []*NIC
-	rng      *sim.Rand
+	sim       *sim.Sim
+	m         *model.CostModel
+	segments  []*Segment
+	nics      []*NIC
+	rng       *sim.Rand
 	lossRate  float64
 	fault     FaultHook
 	faultEver bool // a hook was installed at some point (sticky)
@@ -194,7 +192,7 @@ func New(s *sim.Sim, m *model.CostModel, segments int, seed uint64) *Network {
 		}
 	}
 	for i := 0; i < segments; i++ {
-		seg := &Segment{id: i, sm: s}
+		seg := &Segment{id: i}
 		if reg := s.Metrics(); reg != nil {
 			l := metrics.L("seg", strconv.Itoa(i))
 			seg.mxFrames = reg.Counter("ether.segment_frames", l)
@@ -226,7 +224,7 @@ func NewWithTopology(s *sim.Sim, m *model.CostModel, topo Topology, seed uint64)
 	n.upPerByte = 8000.0 / mbps // ns per byte at mbps Mbit/s
 	groups := (segs + n.fanIn - 1) / n.fanIn
 	for g := 0; g < groups; g++ {
-		u := &uplink{group: g, sm: s}
+		u := &uplink{group: g}
 		if reg := s.Metrics(); reg != nil {
 			l := metrics.L("uplink", strconv.Itoa(g))
 			u.mxFrames = reg.Counter("ether.uplink_frames", l)
@@ -239,51 +237,6 @@ func NewWithTopology(s *sim.Sim, m *model.CostModel, topo Topology, seed uint64)
 
 // Hierarchical reports whether the network runs the two-level topology.
 func (n *Network) Hierarchical() bool { return n.uplinks != nil }
-
-// Partition assigns each segment (and, hierarchically, each switch
-// group's uplink) to a partition simulator for conservative parallel
-// execution: segment state is then only touched from events running on
-// its own simulator, and the switch's cross-segment forwards become
-// cross-partition ScheduleOn sends. segSim must have one entry per
-// segment; upSim one per switch group (ignored when flat). In a
-// hierarchy every segment of one switch group must map to that group's
-// uplink simulator — the group is the unit of parallelism.
-func (n *Network) Partition(segSim, upSim []*sim.Sim) {
-	if len(segSim) != len(n.segments) {
-		panic(fmt.Sprintf("ether: Partition with %d segment sims for %d segments", len(segSim), len(n.segments)))
-	}
-	for i, seg := range n.segments {
-		seg.sm = segSim[i]
-	}
-	if n.uplinks == nil {
-		return
-	}
-	if len(upSim) != len(n.uplinks) {
-		panic(fmt.Sprintf("ether: Partition with %d uplink sims for %d switch groups", len(upSim), len(n.uplinks)))
-	}
-	for g, u := range n.uplinks {
-		u.sm = upSim[g]
-		for _, seg := range n.groupSegments(g) {
-			if seg.sm != u.sm {
-				panic(fmt.Sprintf("ether: segment %d not on its switch group %d's simulator", seg.id, g))
-			}
-		}
-	}
-}
-
-// PartitionLookahead returns a lower bound on the simulated delay of any
-// cross-partition interaction, computable statically from the topology
-// and cost model: in the flat pool the switch forwards a frame only
-// after its full transmission on the source segment (at least one
-// minimum-size frame time); in a hierarchy every cross-group hop is a
-// ScheduleOn issued at least the uplink latency before it lands. This is
-// the conservative window size for sim.NewGroup.
-func (n *Network) PartitionLookahead() time.Duration {
-	if n.uplinks != nil {
-		return n.upLatency
-	}
-	return n.m.WireTime(0)
-}
 
 // SwitchGroups returns the number of leaf switch groups (1 when flat).
 func (n *Network) SwitchGroups() int {
@@ -382,31 +335,17 @@ func (c *NIC) Send(fr Frame) {
 	// Local deliveries.
 	n.deliverOnSegment(c.seg, fr, arrive, c)
 
-	// Switch forwarding. Forwards to another segment land on that
-	// segment's partition simulator (ScheduleOn — a plain ScheduleAt when
-	// unpartitioned); the lookahead bound holds because arrive is at least
-	// one full frame transmission past now.
+	// Switch forwarding (store-and-forward): a frame reaches another
+	// segment's switch port once its transmission here has finished.
 	if fr.Dst == Broadcast {
 		if n.uplinks != nil {
 			n.broadcastHier(c.seg, fr, arrive)
 			return
 		}
 		for _, seg := range n.segments {
-			if seg == c.seg {
-				continue
+			if seg != c.seg {
+				n.forward(c.seg, seg, fr, arrive)
 			}
-			seg := seg
-			src := c.seg.id
-			c.seg.sm.ScheduleOn(seg.sm, arrive, func() {
-				if n.fault != nil && n.fault.ForwardCut(arrive, src, seg.id) {
-					return
-				}
-				if n.mx != nil {
-					n.mx.segForwarded.Inc()
-				}
-				a2 := n.transmitOn(seg, fr)
-				n.deliverOnSegment(seg, fr, a2, nil)
-			})
 		}
 		return
 	}
@@ -418,10 +357,16 @@ func (c *NIC) Send(fr Frame) {
 		n.unicastHier(c.seg, dst.seg, fr, arrive)
 		return
 	}
-	seg := dst.seg
-	src := c.seg.id
-	c.seg.sm.ScheduleOn(seg.sm, arrive, func() {
-		if n.fault != nil && n.fault.ForwardCut(arrive, src, seg.id) {
+	n.forward(c.seg, dst.seg, fr, arrive)
+}
+
+// forward is one store-and-forward switch hop: at instant arrive, unless
+// the fault hook has severed src from seg, the frame is retransmitted on
+// seg and delivered to its stations. Only this closure's copy of fr
+// reaches the heap; Send's own frame stays on its stack.
+func (n *Network) forward(src, seg *Segment, fr Frame, arrive sim.Time) {
+	n.sim.ScheduleAt(arrive, func() {
+		if n.fault != nil && n.fault.ForwardCut(arrive, src.id, seg.id) {
 			return
 		}
 		if n.mx != nil {
@@ -457,7 +402,7 @@ func (n *Network) uplinkTransit(u *uplink, at sim.Time, fr Frame) sim.Time {
 	tx := time.Duration(float64(fr.Size+n.m.EthernetHeaderBytes) * n.upPerByte)
 	u.busyUntil = start.Add(tx)
 	out := u.busyUntil.Add(n.upLatency)
-	u.sm.CausalSpan(fr.Op, sim.PhaseWire, at, out)
+	n.sim.CausalSpan(fr.Op, sim.PhaseWire, at, out)
 	u.frames++
 	u.bytes += int64(fr.Size)
 	if u.mxFrames != nil {
@@ -473,7 +418,7 @@ func (n *Network) uplinkTransit(u *uplink, at sim.Time, fr Frame) sim.Time {
 // crosses the backbone, and descends the destination group's uplink before
 // transmitting on the destination segment.
 func (n *Network) unicastHier(src, dst *Segment, fr Frame, arrive sim.Time) {
-	src.sm.ScheduleAt(arrive, func() {
+	n.sim.ScheduleAt(arrive, func() {
 		if n.fault != nil && n.fault.ForwardCut(arrive, src.id, dst.id) {
 			return
 		}
@@ -486,13 +431,12 @@ func (n *Network) unicastHier(src, dst *Segment, fr Frame, arrive sim.Time) {
 			n.deliverOnSegment(dst, fr, a2, nil)
 			return
 		}
-		// The climb stays on the source group's simulator; the descent —
-		// touching the destination group's uplink — crosses partitions at
-		// least the uplink latency in the future.
-		up := n.uplinkTransit(n.uplinks[sg], src.sm.Now(), fr)
-		src.sm.ScheduleOn(dst.sm, up, func() {
-			down := n.uplinkTransit(n.uplinks[dg], dst.sm.Now(), fr)
-			dst.sm.ScheduleAt(down, func() {
+		// Climb the source group's uplink now; descend the destination
+		// group's uplink when the frame reaches the backbone.
+		up := n.uplinkTransit(n.uplinks[sg], n.sim.Now(), fr)
+		n.sim.ScheduleAt(up, func() {
+			down := n.uplinkTransit(n.uplinks[dg], n.sim.Now(), fr)
+			n.sim.ScheduleAt(down, func() {
 				a2 := n.transmitOn(dst, fr)
 				n.deliverOnSegment(dst, fr, a2, nil)
 			})
@@ -507,37 +451,26 @@ func (n *Network) unicastHier(src, dst *Segment, fr Frame, arrive sim.Time) {
 func (n *Network) broadcastHier(src *Segment, fr Frame, arrive sim.Time) {
 	sg := n.segGroup(src.id)
 	for _, seg := range n.groupSegments(sg) {
-		if seg == src {
-			continue
+		if seg != src {
+			n.forward(src, seg, fr, arrive)
 		}
-		seg := seg
-		src.sm.ScheduleAt(arrive, func() {
-			if n.fault != nil && n.fault.ForwardCut(arrive, src.id, seg.id) {
-				return
-			}
-			if n.mx != nil {
-				n.mx.segForwarded.Inc()
-			}
-			a2 := n.transmitOn(seg, fr)
-			n.deliverOnSegment(seg, fr, a2, nil)
-		})
 	}
 	if len(n.uplinks) < 2 {
 		return
 	}
-	src.sm.ScheduleAt(arrive, func() {
-		up := n.uplinkTransit(n.uplinks[sg], src.sm.Now(), fr)
+	n.sim.ScheduleAt(arrive, func() {
+		up := n.uplinkTransit(n.uplinks[sg], n.sim.Now(), fr)
 		for g := range n.uplinks {
 			if g == sg {
 				continue
 			}
 			u := n.uplinks[g]
 			g := g
-			src.sm.ScheduleOn(u.sm, up, func() {
-				down := n.uplinkTransit(u, u.sm.Now(), fr)
-				u.sm.ScheduleAt(down, func() {
+			n.sim.ScheduleAt(up, func() {
+				down := n.uplinkTransit(u, n.sim.Now(), fr)
+				n.sim.ScheduleAt(down, func() {
 					for _, seg := range n.groupSegments(g) {
-						if n.fault != nil && n.fault.ForwardCut(u.sm.Now(), src.id, seg.id) {
+						if n.fault != nil && n.fault.ForwardCut(n.sim.Now(), src.id, seg.id) {
 							continue
 						}
 						if n.mx != nil {
@@ -555,7 +488,7 @@ func (n *Network) broadcastHier(src *Segment, fr Frame, arrive sim.Time) {
 // transmitOn reserves the segment for the frame's wire time starting no
 // earlier than now, returning the arrival instant.
 func (n *Network) transmitOn(seg *Segment, fr Frame) sim.Time {
-	start := seg.sm.Now()
+	start := n.sim.Now()
 	queued := seg.busyUntil > start
 	if queued {
 		start = seg.busyUntil
@@ -564,7 +497,7 @@ func (n *Network) transmitOn(seg *Segment, fr Frame) sim.Time {
 	seg.busyUntil = start.Add(tx)
 	// Wire time covers waiting out earlier frames plus serialization, per
 	// hop; the stitcher unions overlapping hops of one operation.
-	seg.sm.CausalSpan(fr.Op, sim.PhaseWire, seg.sm.Now(), seg.busyUntil)
+	n.sim.CausalSpan(fr.Op, sim.PhaseWire, n.sim.Now(), seg.busyUntil)
 	seg.frames++
 	seg.bytes += int64(fr.Size)
 	if seg.mxFrames != nil {
@@ -586,7 +519,7 @@ func (n *Network) deliverOnSegment(seg *Segment, fr Frame, at sim.Time, exclude 
 	// of one per NIC is the difference between O(frames x stations) and
 	// O(frames) scheduler work on a loaded cable.
 	if fr.Dst == Broadcast && n.fault == nil {
-		seg.sm.ScheduleAt(at, func() {
+		n.sim.ScheduleAt(at, func() {
 			for _, nic := range seg.nics {
 				if nic != exclude {
 					n.deliverTo(nic, fr)
@@ -610,13 +543,13 @@ func (n *Network) deliverOnSegment(seg *Segment, fr Frame, at sim.Time, exclude 
 				continue
 			}
 			if fate.Dup {
-				seg.sm.ScheduleAt(at, func() { n.deliverTo(nic, fr) })
+				n.sim.ScheduleAt(at, func() { n.deliverTo(nic, fr) })
 			}
 			if fate.Delay > 0 {
 				at = at.Add(fate.Delay)
 			}
 		}
-		seg.sm.ScheduleAt(at, func() { n.deliverTo(nic, fr) })
+		n.sim.ScheduleAt(at, func() { n.deliverTo(nic, fr) })
 	}
 }
 

@@ -148,10 +148,8 @@ type Stack struct {
 
 	// pool is the free list for unicast data packets; a packet released
 	// on this stack (the consuming side) is recycled by this stack's next
-	// sends, so under partitioned execution each free list stays
-	// partition-local. noPool disables pooling when a fault hook may
-	// duplicate deliveries (two deliveries of one pointer would
-	// double-release).
+	// sends. noPool disables pooling when a fault hook may duplicate
+	// deliveries (two deliveries of one pointer would double-release).
 	pool   []*Packet
 	noPool bool
 

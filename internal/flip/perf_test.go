@@ -107,7 +107,7 @@ func TestReassemblerSingleFragmentZeroAlloc(t *testing.T) {
 
 // unicastSteadyStateBudget is the allocation budget for one complete
 // warm-routed unicast send+receive. The packet itself is pooled; the
-// residual (7 objects measured) is the event closures of the ether and
+// residual (6 objects measured) is the event closures of the ether and
 // interrupt layers.
 const unicastSteadyStateBudget = 10
 

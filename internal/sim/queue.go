@@ -1,7 +1,7 @@
 package sim
 
 // This file is the scheduler's hot path: a specialized 4-ary min-heap over
-// pooled event slots, ordered by (at, gat, src, seq). It replaces container/heap,
+// pooled event slots, ordered by (at, seq). It replaces container/heap,
 // whose interface-based Push/Pop box every *Event into an `any` and whose
 // Remove costs O(log n) sift work per cancellation. Here:
 //
@@ -18,30 +18,19 @@ package sim
 //   - The heap slice and the free list shrink after bursts, so a long
 //     soak does not hold its peak-burst memory for the rest of the run.
 //
-// Determinism: pop order is exactly ascending (at, gat, src, seq) — the
-// comparator is a total order ((src, seq) is unique), so any heap shape
-// yields the same pop sequence, and lazy deletion/compaction never
-// reorder live events.
-//
-// gat (generation-at) is the clock value when the event was scheduled and
-// src is the scheduling partition. On a lone simulator they are inert:
-// src is constant and gat is nondecreasing in seq (the clock never runs
-// backwards), so (at, gat, src, seq) sorts exactly like the historical
-// (at, seq) and committed baselines are unaffected. Under partitioned
-// execution (group.go) they make the pop order independent of worker
-// interleaving: a cross-partition event carries the sender's stamps, so
-// merged and local events interleave by simulation content alone.
+// Determinism: pop order is exactly ascending (at, seq) — the comparator
+// is a total order (seq is unique), so any heap shape yields the same pop
+// sequence, and lazy deletion/compaction never reorder live events.
+// Simultaneous events therefore fire in the order they were scheduled.
 
 // event is one pooled scheduler slot. fn == nil marks a tombstone (the
 // slot was canceled but is still queued); gen increments every time the
 // slot is released to the free list, invalidating outstanding handles.
 type event struct {
 	at  Time
-	gat Time // scheduling-time clock of the source partition
 	seq uint64
 	gen uint64
 	fn  func()
-	src int32 // scheduling partition (0 on a lone simulator)
 }
 
 // minQueueCap is the capacity floor below which the heap and free list
@@ -56,19 +45,11 @@ type eventQueue struct {
 	dead int // tombstoned events still in heap
 }
 
-// less orders events by (time, schedule-time clock, source partition,
-// insertion sequence) so simultaneous events fire in a deterministic
-// order that does not depend on how partitions interleave on the wall
-// clock. On a lone simulator this degenerates to FIFO (at, seq) order.
+// less orders events by (time, insertion sequence), so simultaneous
+// events fire in FIFO order.
 func less(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
-	}
-	if a.gat != b.gat {
-		return a.gat < b.gat
-	}
-	if a.src != b.src {
-		return a.src < b.src
 	}
 	return a.seq < b.seq
 }

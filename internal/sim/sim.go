@@ -1,13 +1,15 @@
 // Package sim provides the discrete-event simulation core used by every
 // other substrate in this repository: a virtual clock, a cancellable event
-// queue with deterministic tie-breaking, and a deterministic random number
-// generator.
+// queue popped in (at, seq) order — simultaneous events fire in the order
+// they were scheduled — and a deterministic random number generator.
 //
-// The simulation is single-threaded by construction. Events run in the
-// "driver" context (the goroutine that called Run). Simulated threads (see
-// internal/proc) are goroutines, but the driver and at most one thread
-// goroutine are ever runnable at the same time, with strict handoff, so no
-// locking is required anywhere in the simulation.
+// The simulation is single-threaded by construction: a cluster runs on
+// one Sim, whose one queue holds every processor's, NIC's and protocol
+// layer's events. Events run in the "driver" context (the goroutine that
+// called Run). Simulated threads (see internal/proc) are goroutines, but
+// the driver and at most one thread goroutine are ever runnable at the
+// same time, with strict handoff, so no locking is required anywhere in
+// the simulation.
 package sim
 
 import (
@@ -112,8 +114,6 @@ type Sim struct {
 	causal   CausalTracer
 	spanSeq  uint64
 	registry *metrics.Registry
-	part     int32  // partition id within group (0 standalone)
-	group    *Group // conservative parallel group, nil standalone
 }
 
 // SetTracer installs a protocol event tracer (nil disables tracing).
@@ -218,27 +218,10 @@ func (s *Sim) ScheduleAt(t Time, fn func()) Event {
 	s.seq++
 	e := s.q.alloc()
 	e.at = t
-	e.gat = s.now
-	e.src = s.part
 	e.seq = s.seq
 	e.fn = fn
 	s.q.push(e)
 	return Event{e: e, gen: e.gen}
-}
-
-// ScheduleOn arranges for fn to run at instant t on dst's clock. With dst
-// == s (or no partition group) it is ScheduleAt without the cancel
-// handle; across partitions the event is staged in the group outbox and
-// merged into dst's queue at the next lookahead barrier, carrying this
-// simulator's (schedule-time, partition, sequence) stamps so the merged
-// pop order is independent of worker interleaving. t must be at least the
-// group lookahead past the current window start; the merge enforces this.
-func (s *Sim) ScheduleOn(dst *Sim, t Time, fn func()) {
-	if dst == s || s.group == nil {
-		dst.ScheduleAt(t, fn)
-		return
-	}
-	s.group.send(s, dst, t, fn)
 }
 
 // Cancel removes a pending event in O(1) by tombstoning its slot; the
