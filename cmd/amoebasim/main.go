@@ -15,10 +15,9 @@
 //	amoebasim -fault-seed N     fault-schedule seed (default: derived from -seed)
 //	amoebasim -jobs N           worker-pool width for sweeps (default: NumCPU)
 //	amoebasim -bench-json F     full Table 1-3 sweep to BENCH artifact F ("auto": BENCH_<date>.json)
-//	amoebasim -baseline F       regression gate: compare the sweep against baseline F
-//	amoebasim -wall-budget D    fail the gate if the sweep's wall-clock exceeds D
+//	amoebasim -baseline F       zero-drift gate: diff the artifact this run produces against F
+//	amoebasim -wall-budget D    fail if the whole command's host wall-clock exceeds D
 //	amoebasim -decomp-json F    causal latency decomposition to DECOMP artifact F ("auto": DECOMP_<date>.json)
-//	amoebasim -decomp-baseline F  zero-drift gate: compare the decomposition against baseline F
 //	amoebasim -chrome-trace F   Chrome trace-event JSON (Perfetto-loadable) of a traced run to F
 //	amoebasim -trace-cap N      trace ring-buffer capacity in events (default 65536)
 //	amoebasim -workload open    latency-vs-offered-load curves for all three modes
@@ -33,18 +32,21 @@
 //	amoebasim -workload-json F  workload curves as a JSON artifact ("auto": WORKLOAD_<date>.json)
 //	amoebasim -scalability      knee-vs-cluster-size sweep across sequencer strategies
 //	amoebasim -scalability-json F  scalability sweep as a JSON artifact ("auto": SCALE_<date>.json)
-//	amoebasim -scalability-baseline F  zero-drift gate against a committed SCALE_*.json
 //	amoebasim -perf             single-run performance cells (events/sec)
 //	amoebasim -perf-json F      perf cells as a PERF artifact ("auto": PERF_<date>.json)
-//	amoebasim -perf-baseline F  zero-drift gate on the perf cells' simulated results
 //	amoebasim -cpuprofile F     write a pprof CPU profile of the run to F
 //	amoebasim -memprofile F     write a pprof heap profile at exit to F
 //	amoebasim -all              everything
+//
+// -baseline gates whichever artifact the selected run produces (the
+// BENCH sweep, -perf, -scalability, -decomp-json or -workload) with
+// bench.Diff; alone it runs the BENCH sweep.
 package main
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -83,8 +85,8 @@ func main() {
 		faultSeed  = flag.Uint64("fault-seed", 0, "fault-schedule seed (0: derived from -seed)")
 		jobs       = flag.Int("jobs", bench.DefaultWorkers(), "worker-pool width for parallel sweeps")
 		benchJSON  = flag.String("bench-json", "", "run the full Table 1-3 sweep and write the BENCH artifact here ('auto': BENCH_<date>.json)")
-		baseline   = flag.String("baseline", "", "compare the -bench-json sweep against this committed BENCH_*.json baseline (zero drift tolerance)")
-		wallBudget = flag.Duration("wall-budget", 0, "with -baseline: fail if the sweep's host wall-clock exceeds this duration (0: no check)")
+		baseline   = flag.String("baseline", "", "diff the artifact this run produces (BENCH sweep, -perf, -scalability, -decomp-json or -workload) against this committed baseline (zero drift tolerance)")
+		wallBudget = flag.Duration("wall-budget", 0, "fail if the whole command's host wall-clock exceeds this duration (0: no check)")
 		workloadF  = flag.String("workload", "", "run the workload engine: open (offered-load curves) or closed (population with think time)")
 		loads      = flag.String("load", "", "comma-separated open-loop offered loads in ops/sec (default 400,1300,2400)")
 		clients    = flag.Int("clients", 0, "workload client-population size (default 2x workers)")
@@ -106,16 +108,13 @@ func main() {
 		workloadJ  = flag.String("workload-json", "", "write the workload curves as a JSON artifact ('auto': WORKLOAD_<date>.json)")
 		scalab     = flag.Bool("scalability", false, "run the knee-vs-cluster-size sweep across sequencer strategies")
 		scalabJ    = flag.String("scalability-json", "", "write the scalability sweep as a JSON artifact ('auto': SCALE_<date>.json)")
-		scalabBase = flag.String("scalability-baseline", "", "compare the scalability sweep against this committed SCALE_*.json baseline (zero drift tolerance)")
 		decompJSON = flag.String("decomp-json", "", "write the causal latency-decomposition artifact here ('auto': DECOMP_<date>.json)")
-		decompBase = flag.String("decomp-baseline", "", "compare the -decomp-json sweep against this committed DECOMP_*.json baseline (zero drift tolerance)")
 		chromeTr   = flag.String("chrome-trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) of a traced run to this file")
 		traceCap   = flag.Int("trace-cap", 0, "trace ring-buffer capacity in events (0: 65536 default)")
 		wlDecomp   = flag.Bool("wl-decomp", false, "with -workload: collect per-phase latency breakdowns at each load point")
 		dispatchF  = flag.String("dispatch", "poll", "bypass receive dispatch mode: poll, interrupt or hybrid (other implementations ignore it)")
 		perfF      = flag.Bool("perf", false, "run the single-run performance cells (set-up time and events/sec)")
 		perfJSON   = flag.String("perf-json", "", "write the perf cells as a PERF artifact ('auto': PERF_<date>.json)")
-		perfBase   = flag.String("perf-baseline", "", "compare the perf cells against this committed PERF_*.json baseline (zero drift on simulated results)")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	)
@@ -127,18 +126,18 @@ func main() {
 		if err != nil {
 			return err
 		}
-		if *perfF || *perfJSON != "" || *perfBase != "" {
-			return runPerf(*perfJSON, *perfBase, *seed, *wallBudget)
+		if *perfF || *perfJSON != "" {
+			return runPerf(*perfJSON, *baseline, *seed)
 		}
-		if *scalab || *scalabJ != "" || *scalabBase != "" {
-			return runScalability(*scalabJ, *scalabBase, *mixFlag, *distFlag, *wlWindow, *wlFanIn, disp, *seed, *jobs)
+		if *scalab || *scalabJ != "" {
+			return runScalability(*scalabJ, *baseline, *mixFlag, *distFlag, *wlWindow, *wlFanIn, disp, *seed, *jobs)
 		}
 		if *workloadF != "" || *workloadJ != "" || *repTrace != "" || *recTrace != "" {
 			return runWorkload(workloadArgs{
 				loop: *workloadF, loads: *loads, clients: *clients, mix: *mixFlag,
 				dist: *distFlag, arrival: *arrival, think: *think, procs: *wlProcs,
 				window: *wlWindow, warmup: *wlWarmup, knee: *knee,
-				jsonPath: *workloadJ, seed: *seed, jobs: *jobs,
+				jsonPath: *workloadJ, baseline: *baseline, seed: *seed, jobs: *jobs,
 				seqShards: *seqShards, segments: *wlSegments, fanIn: *wlFanIn,
 				classes: *classesF, shape: *shapeFlag, dispatch: disp,
 				recordTrace: *recTrace, replayTrace: *repTrace,
@@ -146,19 +145,22 @@ func main() {
 			})
 		}
 		if *faultsF != "" {
+			if *baseline != "" {
+				return errors.New("-baseline: -faults writes no artifact to gate")
+			}
 			return runFaults(*faultsF, *seed, *faultSeed, *jobs)
 		}
-		if *decompJSON != "" || *decompBase != "" {
-			return runDecomp(*decompJSON, *decompBase, *seed, *jobs)
+		if *decompJSON != "" {
+			return runDecomp(*decompJSON, *baseline, *seed, *jobs)
 		}
 		if *benchJSON != "" || *baseline != "" {
-			return runBenchSweep(*benchJSON, *baseline, *scale, *appsFlag, *procsFlag, *seed, *jobs, *wallBudget)
+			return runBenchSweep(*benchJSON, *baseline, *scale, *appsFlag, *procsFlag, *seed, *jobs)
 		}
 		return run(*table, *decompose, *traceFlag, *all, *sweep, *scale, *appsFlag, *procsFlag, *seed, *metricsF, *metricsJ, *traceJ, *chromeTr, *traceCap, *jobs)
 	}
 	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
 	if err == nil {
-		err = dispatch()
+		err = withinBudget(*wallBudget, dispatch)
 		if perr := stopProfiles(); err == nil {
 			err = perr
 		}
@@ -167,6 +169,45 @@ func main() {
 		fmt.Fprintln(os.Stderr, "amoebasim:", err)
 		os.Exit(1)
 	}
+}
+
+// withinBudget runs f and fails if it took longer than budget (0: no
+// limit): -wall-budget bounds the whole command, set-up, run and
+// artifact writing included.
+func withinBudget(budget time.Duration, f func() error) error {
+	start := time.Now()
+	if err := f(); err != nil {
+		return err
+	}
+	if wall := time.Since(start); budget > 0 && wall > budget {
+		return fmt.Errorf("wall-clock: the run took %v, budget %v", wall.Round(time.Millisecond), budget)
+	}
+	return nil
+}
+
+// writeAndGate writes art as JSON to path ("auto": <prefix>_<date>.json;
+// "": not written) and, when baseline is set, diffs it against that
+// committed artifact with zero drift tolerance (bench.Diff).
+func writeAndGate(path, prefix, baseline string, art any) error {
+	if path != "" {
+		written, err := bench.WriteJSON(path, prefix, art)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("wrote %s\n", written)
+	}
+	if baseline == "" {
+		return nil
+	}
+	raw, err := os.ReadFile(baseline)
+	if err != nil {
+		return err
+	}
+	if err := bench.Diff(json.RawMessage(raw), art); err != nil {
+		return fmt.Errorf("%s: %w", baseline, err)
+	}
+	fmt.Printf("baseline %s: no drift\n", baseline)
+	return nil
 }
 
 // startProfiles arms the -cpuprofile / -memprofile collection and returns
@@ -258,15 +299,7 @@ func run(table int, decompose, traceFlag, all bool, sweep, scale, appsFlag, proc
 			fmt.Println()
 		}
 		if metricsJ != "" {
-			f, err := os.Create(metricsJ)
-			if err != nil {
-				return err
-			}
-			if err := bench.WriteObservabilityJSON(f, appendix); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
+			if _, err := bench.WriteJSON(metricsJ, "METRICS", appendix); err != nil {
 				return err
 			}
 		}
@@ -386,7 +419,7 @@ func parseProcs(procsFlag string) ([]int, error) {
 // runBenchSweep runs the full Table 1-3 sweep on the worker pool, writes
 // the machine-readable BENCH artifact, and applies the regression gate
 // against a committed baseline.
-func runBenchSweep(benchJSON, baseline, scale, appsFlag, procsFlag string, seed uint64, jobs int, wallBudget time.Duration) error {
+func runBenchSweep(benchJSON, baseline, scale, appsFlag, procsFlag string, seed uint64, jobs int) error {
 	appList, err := resolveApps(appsFlag, scale)
 	if err != nil {
 		return err
@@ -410,39 +443,13 @@ func runBenchSweep(benchJSON, baseline, scale, appsFlag, procsFlag string, seed 
 	fmt.Printf("(%d jobs in %v on %d workers, %.1f jobs/sec)\n",
 		len(res.Jobs), res.Wall.Round(time.Millisecond), art.Wall.Workers, art.Wall.JobsPerSec)
 
-	if benchJSON != "" {
-		if benchJSON == "auto" {
-			benchJSON = "BENCH_" + time.Now().UTC().Format("2006-01-02") + ".json"
-		}
-		f, err := os.Create(benchJSON)
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteArtifact(f, art); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", benchJSON)
-	}
-	if baseline != "" {
-		base, err := bench.LoadArtifact(baseline)
-		if err != nil {
-			return err
-		}
-		if err := bench.CompareArtifacts(base, art, wallBudget); err != nil {
-			return err
-		}
-		fmt.Printf("baseline %s: no drift\n", baseline)
-	}
-	return nil
+	return writeAndGate(benchJSON, "BENCH", baseline, art)
 }
 
 // workloadArgs collects the -workload flag family.
 type workloadArgs struct {
 	loop, loads, mix, dist, arrival, jsonPath string
+	baseline                                  string // gates the DECOMP artifact with decompPath, else the WORKLOAD one
 	classes, shape                            string // multi-tenant population + load-shape specs
 	recordTrace, replayTrace                  string // TRACE_*.json record / replay paths
 	clients, procs, jobs                      int
@@ -564,43 +571,17 @@ func runScalability(jsonPath, baseline, mixFlag, distFlag string, window time.Du
 	bench.PrintScalability(os.Stdout, res)
 	fmt.Printf("(%d jobs in %v on %d workers)\n",
 		len(res.Jobs), res.Wall.Round(time.Millisecond), jobs)
-	art := bench.NewScalabilityArtifact(res)
-	if jsonPath != "" {
-		path := jsonPath
-		if path == "auto" {
-			path = "SCALE_" + time.Now().UTC().Format("2006-01-02") + ".json"
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteScalabilityArtifact(f, art); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", path)
-	}
-	if baseline != "" {
-		base, err := bench.LoadScalabilityArtifact(baseline)
-		if err != nil {
-			return err
-		}
-		if err := bench.CompareScalability(base, art); err != nil {
-			return err
-		}
-		fmt.Printf("baseline %s: no drift\n", baseline)
-	}
-	return nil
+	return writeAndGate(jsonPath, "SCALE", baseline, bench.NewScalabilityArtifact(res))
 }
 
 // runWorkload drives the traffic generator over the offered-load grid in
 // all three implementation configurations, prints the
 // latency-vs-offered-load curves (with the bisected knees), and optionally
-// writes the machine-readable artifact.
+// writes and gates the machine-readable artifacts.
 func runWorkload(a workloadArgs) error {
+	if a.baseline != "" && a.jsonPath != "" && a.decompPath != "" {
+		return errors.New("-baseline gates one artifact: drop -workload-json or -decomp-json")
+	}
 	cfg, err := workloadSweepConfig(a)
 	if err != nil {
 		return err
@@ -639,22 +620,10 @@ func runWorkload(a workloadArgs) error {
 			return err
 		}
 		bench.PrintLatencyDecomp(os.Stdout, art)
-		path := a.decompPath
-		if path == "auto" {
-			path = "DECOMP_" + time.Now().UTC().Format("2006-01-02") + ".json"
-		}
-		f, err := os.Create(path)
-		if err != nil {
+		if err := writeAndGate(a.decompPath, "DECOMP", a.baseline, art); err != nil {
 			return err
 		}
-		if err := causal.Write(f, art); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", path)
+		a.baseline = "" // -baseline gated the DECOMP artifact, not the WORKLOAD one
 	} else if a.decomp {
 		art := &causal.Artifact{Workload: bench.WorkloadDecomp(res)}
 		if err := art.CheckConservation(); err != nil {
@@ -663,72 +632,25 @@ func runWorkload(a workloadArgs) error {
 		bench.PrintLatencyDecomp(os.Stdout, art)
 	}
 
-	if a.jsonPath != "" {
-		path := a.jsonPath
-		if path == "auto" {
-			path = "WORKLOAD_" + time.Now().UTC().Format("2006-01-02") + ".json"
-		}
-		art := &bench.Artifact{
-			SchemaVersion: bench.ArtifactSchemaVersion,
-			GeneratedAt:   time.Now().UTC().Format(time.RFC3339),
-			Scale:         "workload",
-			Seed:          a.seed,
-			Workload:      bench.NewWorkloadArtifact(res),
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteArtifact(f, art); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", path)
-	}
-	return nil
+	return writeAndGate(a.jsonPath, "WORKLOAD", a.baseline, &bench.Artifact{
+		SchemaVersion: bench.ArtifactSchemaVersion,
+		GeneratedAt:   time.Now().UTC().Format(time.RFC3339),
+		Scale:         "workload",
+		Seed:          a.seed,
+		Workload:      bench.NewWorkloadArtifact(res),
+	})
 }
 
 // runPerf runs the single-run performance cells, prints the set-up
 // and events/sec table, writes the PERF artifact, and gates the
 // simulated results against a committed baseline.
-func runPerf(jsonPath, baseline string, seed uint64, wallBudget time.Duration) error {
+func runPerf(jsonPath, baseline string, seed uint64) error {
 	art, err := bench.RunPerf(bench.PerfConfig{Seed: seed})
 	if err != nil {
 		return err
 	}
 	bench.PrintPerf(os.Stdout, art)
-	if jsonPath != "" {
-		path := jsonPath
-		if path == "auto" {
-			path = "PERF_" + time.Now().UTC().Format("2006-01-02") + ".json"
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := bench.WritePerfArtifact(f, art); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", path)
-	}
-	if baseline != "" {
-		base, err := bench.LoadPerfArtifact(baseline)
-		if err != nil {
-			return err
-		}
-		if err := bench.ComparePerf(base, art, wallBudget); err != nil {
-			return err
-		}
-		fmt.Printf("perf baseline %s: no drift\n", baseline)
-	}
-	return nil
+	return writeAndGate(jsonPath, "PERF", baseline, art)
 }
 
 // runFaults runs the fault-injection soak workload (verified echo RPCs,
@@ -852,34 +774,7 @@ func runDecomp(path, baseline string, seed uint64, jobs int) error {
 		return err
 	}
 	bench.PrintLatencyDecomp(os.Stdout, art)
-	if path != "" {
-		if path == "auto" {
-			path = "DECOMP_" + time.Now().UTC().Format("2006-01-02") + ".json"
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := causal.Write(f, art); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", path)
-	}
-	if baseline != "" {
-		base, err := causal.Load(baseline)
-		if err != nil {
-			return err
-		}
-		if err := causal.Compare(base, art); err != nil {
-			return err
-		}
-		fmt.Printf("baseline %s: no drift\n", baseline)
-	}
-	return nil
+	return writeAndGate(path, "DECOMP", baseline, art)
 }
 
 // writeChromeTrace runs a fully traced scenario — a user-space 3-member

@@ -2,11 +2,13 @@ package main
 
 import (
 	"errors"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"amoebasim/internal/bench"
 	"amoebasim/internal/panda"
 	"amoebasim/internal/workload"
 )
@@ -258,5 +260,62 @@ func TestWorkloadSweepConfigMultiTenant(t *testing.T) {
 		if _, err := workloadSweepConfig(bad); err == nil {
 			t.Errorf("workloadSweepConfig(%+v) accepted a malformed value", bad)
 		}
+	}
+}
+
+// TestWriteAndGateNeverIgnoresABaseline: a baseline that cannot be read
+// fails the gate rather than passing silently; a baseline the run
+// matches passes whatever its host-measured fields say, and a drifted
+// one names the field.
+func TestWriteAndGateNeverIgnoresABaseline(t *testing.T) {
+	dir := t.TempDir()
+	art := &bench.PerfArtifact{
+		SchemaVersion: bench.PerfSchemaVersion, Seed: 5,
+		Cells: []bench.PerfCell{{Name: "perf/tiny", Procs: 2, Ops: 3, Checksum: 14926440533338159846, WallMS: 4}},
+	}
+	if err := writeAndGate("", "PERF", filepath.Join(dir, "nonexistent.json"), art); err == nil {
+		t.Fatal("nonexistent baseline passed the gate")
+	}
+	path := filepath.Join(dir, "PERF_tiny.json")
+	if err := writeAndGate(path, "PERF", "", art); err != nil {
+		t.Fatal(err)
+	}
+	art.Cells[0].WallMS = 400
+	if err := writeAndGate("", "PERF", path, art); err != nil {
+		t.Fatalf("artifact drifted against its own file: %v", err)
+	}
+	art.Cells[0].Checksum++
+	err := writeAndGate("", "PERF", path, art)
+	if err == nil || !strings.Contains(err.Error(), "cells[0].checksum") {
+		t.Fatalf("checksum drift not reported by path: %v", err)
+	}
+}
+
+// TestWorkloadBaselineGatesOneArtifact: with both workload-mode
+// artifacts requested, -baseline is refused before any sweep runs
+// instead of silently gating one of them.
+func TestWorkloadBaselineGatesOneArtifact(t *testing.T) {
+	err := runWorkload(workloadArgs{baseline: "b.json", jsonPath: "w.json", decompPath: "d.json"})
+	if err == nil || !strings.Contains(err.Error(), "-baseline") {
+		t.Fatalf("ambiguous -baseline accepted: %v", err)
+	}
+}
+
+// TestWallBudgetBoundsTheCommand: -wall-budget fails a run that outlasts
+// it, passes one that fits, and never masks the run's own error.
+func TestWallBudgetBoundsTheCommand(t *testing.T) {
+	slow := func() error { time.Sleep(5 * time.Millisecond); return nil }
+	if err := withinBudget(0, slow); err != nil {
+		t.Errorf("no budget still failed: %v", err)
+	}
+	if err := withinBudget(time.Hour, slow); err != nil {
+		t.Errorf("run within budget failed: %v", err)
+	}
+	if err := withinBudget(time.Millisecond, slow); err == nil || !strings.Contains(err.Error(), "wall-clock") {
+		t.Errorf("budget overrun not reported: %v", err)
+	}
+	boom := errors.New("boom")
+	if err := withinBudget(time.Hour, func() error { return boom }); !errors.Is(err, boom) {
+		t.Errorf("run error replaced: %v", err)
 	}
 }

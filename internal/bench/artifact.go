@@ -1,11 +1,11 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
-	"reflect"
+	"sort"
 	"strings"
 	"time"
 
@@ -13,18 +13,17 @@ import (
 )
 
 // ArtifactSchemaVersion identifies the BENCH_*.json layout. Bump it when
-// a field changes meaning; the regression gate refuses to compare
-// artifacts across versions. v2 added the kernel-bypass implementation
-// column to every table.
+// a field changes meaning; Diff reports a version change as drift, so
+// the baseline must be regenerated. v2 added the kernel-bypass
+// implementation column to every table.
 const ArtifactSchemaVersion = 2
 
 // Artifact is the machine-readable benchmark baseline (BENCH_*.json):
 // every Table 1-3 cell in simulated time, plus the host's wall-clock
 // accounting. The table cells are a pure function of (scale, seed,
-// sizes, procs) — the simulation is deterministic — so the regression
-// gate compares them with zero drift tolerance. The Wall section is
-// host-dependent and informational; it is never diffed, only checked
-// against an explicit budget.
+// sizes, procs) — the simulation is deterministic — so Diff gates them
+// with zero drift tolerance. The Wall section is host-dependent and
+// informational; it is never diffed.
 type Artifact struct {
 	SchemaVersion int          `json:"schema_version"`
 	GeneratedAt   string       `json:"generated_at,omitempty"` // RFC 3339, informational
@@ -33,11 +32,9 @@ type Artifact struct {
 	Table1        []Table1Cell `json:"table1"`
 	Table2        []Table2Cell `json:"table2"`
 	Table3        []Table3Cell `json:"table3"`
-	// Workload is the latency-vs-offered-load section, carrying its own
-	// version so it can evolve independently. It is optional: schema-v1
-	// baselines written before the workload engine existed load and
-	// round-trip unchanged (the field is omitted when nil), and the
-	// regression gate only compares it when the baseline has one.
+	// Workload is the latency-vs-offered-load section of a WORKLOAD_*.json
+	// artifact, carrying its own version so it can evolve independently.
+	// It is omitted when nil, as in every BENCH artifact.
 	Workload *WorkloadArtifact `json:"workload,omitempty"`
 	Wall     WallStats         `json:"wall"`
 }
@@ -68,9 +65,8 @@ type Table3Cell struct {
 
 // WorkloadSchemaVersion identifies the layout of the workload section.
 // v2 added the multi-tenant fields: the resolved class spec on the
-// section, per-class cells and the fairness index on every point. v1
-// baselines still gate cleanly — the comparison falls back to the legacy
-// field subset — while a baseline newer than the build refuses outright.
+// section, per-class cells and the fairness index on every point. Diff
+// reports a version change as drift.
 const WorkloadSchemaVersion = 2
 
 // WorkloadArtifact is the machine-readable form of a workload sweep: the
@@ -110,8 +106,7 @@ type WorkloadCell struct {
 	MaxUS       int64   `json:"max_us"`
 	SeqOccPct   float64 `json:"seq_occ_pct"`
 	Saturated   bool    `json:"saturated"`
-	// Fairness is Jain's index over per-class achieved/offered ratios
-	// (v2; 0 in decoded v1 cells).
+	// Fairness is Jain's index over per-class achieved/offered ratios (v2).
 	Fairness float64 `json:"fairness,omitempty"`
 	// PerClass breaks the point down by client class (v2).
 	PerClass []WorkloadClassCell `json:"per_class,omitempty"`
@@ -295,187 +290,139 @@ func NewArtifact(res *SweepResult) *Artifact {
 	return a
 }
 
-// WriteArtifact emits the artifact as indented JSON.
-func WriteArtifact(w io.Writer, a *Artifact) error {
-	b, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
+// hostKeys are the host-measured fields the artifact families carry
+// beside their simulated results: wall-clock stamps and timings. Diff
+// skips them at any depth; everything else is a pure function of the
+// configuration and seed.
+var hostKeys = map[string]bool{
+	"generated_at":   true,
+	"wall":           true,
+	"setup_ms":       true,
+	"wall_ms":        true,
+	"events_per_sec": true,
 }
 
-// LoadArtifact reads a BENCH_*.json baseline from disk.
-func LoadArtifact(path string) (*Artifact, error) {
-	b, err := os.ReadFile(path)
+// WriteJSON writes v to path as indented JSON with a trailing newline
+// and returns the path written. "auto" names the file
+// <prefix>_<YYYY-MM-DD>.json (UTC date).
+func WriteJSON(path, prefix string, v any) (string, error) {
+	if path == "auto" {
+		path = prefix + "_" + time.Now().UTC().Format("2006-01-02") + ".json"
+	}
+	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	var a Artifact
-	if err := json.Unmarshal(b, &a); err != nil {
-		return nil, fmt.Errorf("parse baseline %s: %w", path, err)
-	}
-	return &a, nil
+	return path, os.WriteFile(path, append(b, '\n'), 0o666)
 }
 
-// CompareArtifacts is the regression gate: every deterministic table
-// cell of current must exactly equal its baseline counterpart (zero
-// drift tolerance — the simulation is deterministic, so any difference
-// is a behavior change, not noise). Wall-clock is host-dependent and is
-// only checked against wallBudget (0 disables the check). The returned
-// error lists every drifted cell.
-func CompareArtifacts(baseline, current *Artifact, wallBudget time.Duration) error {
+// Diff is the regression gate shared by every artifact family: it
+// compares the JSON forms of baseline and current leaf by leaf, with
+// zero drift tolerance (the simulation is deterministic, so any
+// difference is a behavior change, not noise). Only hostKeys are
+// skipped. Numbers are compared as JSON text, so 64-bit checksums above
+// 2^53 are exact. Either side may be a json.RawMessage. The returned
+// error names every drifted path, e.g. "cells[1].checksum".
+func Diff(baseline, current any) error {
+	base, err := decodeJSON(baseline)
+	if err != nil {
+		return fmt.Errorf("baseline: %w", err)
+	}
+	cur, err := decodeJSON(current)
+	if err != nil {
+		return fmt.Errorf("current run: %w", err)
+	}
 	var drifts []string
-	drift := func(format string, args ...any) {
-		drifts = append(drifts, fmt.Sprintf(format, args...))
-	}
-	if baseline.SchemaVersion != current.SchemaVersion {
-		return fmt.Errorf("baseline schema v%d != current v%d: regenerate the baseline",
-			baseline.SchemaVersion, current.SchemaVersion)
-	}
-	if baseline.Scale != current.Scale || baseline.Seed != current.Seed {
-		return fmt.Errorf("config mismatch: baseline (scale=%s seed=%d) vs current (scale=%s seed=%d)",
-			baseline.Scale, baseline.Seed, current.Scale, current.Seed)
-	}
-
-	t1 := make(map[string]int64, len(baseline.Table1))
-	for _, c := range baseline.Table1 {
-		t1[fmt.Sprintf("%d/%s", c.SizeBytes, c.Column)] = c.SimNS
-	}
-	if len(baseline.Table1) != len(current.Table1) {
-		drift("table1: %d cells, baseline has %d", len(current.Table1), len(baseline.Table1))
-	}
-	for _, c := range current.Table1 {
-		key := fmt.Sprintf("%d/%s", c.SizeBytes, c.Column)
-		want, ok := t1[key]
-		if !ok {
-			drift("table1/%s: cell missing from baseline", key)
-		} else if c.SimNS != want {
-			drift("table1/%s: sim %dns, baseline %dns", key, c.SimNS, want)
+	diffJSON("", base, cur, func(path, format string, args ...any) {
+		if path == "" {
+			path = "(top level)"
 		}
-	}
-
-	t2 := make(map[string]float64, len(baseline.Table2))
-	for _, c := range baseline.Table2 {
-		t2[c.Op+"/"+c.Impl] = c.BytesPerSec
-	}
-	if len(baseline.Table2) != len(current.Table2) {
-		drift("table2: %d cells, baseline has %d", len(current.Table2), len(baseline.Table2))
-	}
-	for _, c := range current.Table2 {
-		key := c.Op + "/" + c.Impl
-		want, ok := t2[key]
-		if !ok {
-			drift("table2/%s: cell missing from baseline", key)
-		} else if c.BytesPerSec != want {
-			drift("table2/%s: %.3f B/s, baseline %.3f B/s", key, c.BytesPerSec, want)
-		}
-	}
-
-	t3 := make(map[string]Table3Cell, len(baseline.Table3))
-	for _, c := range baseline.Table3 {
-		t3[fmt.Sprintf("%s/%s/p=%d", c.App, c.Impl, c.Procs)] = c
-	}
-	if len(baseline.Table3) != len(current.Table3) {
-		drift("table3: %d cells, baseline has %d", len(current.Table3), len(baseline.Table3))
-	}
-	for _, c := range current.Table3 {
-		key := fmt.Sprintf("%s/%s/p=%d", c.App, c.Impl, c.Procs)
-		want, ok := t3[key]
-		if !ok {
-			drift("table3/%s: cell missing from baseline", key)
-			continue
-		}
-		if c.SimNS != want.SimNS {
-			drift("table3/%s: sim %dns, baseline %dns", key, c.SimNS, want.SimNS)
-		}
-		if c.Answer != want.Answer {
-			drift("table3/%s: answer %d, baseline %d", key, c.Answer, want.Answer)
-		}
-	}
-
-	// The workload section is optional: baselines written before the
-	// workload engine existed simply have none, and stay comparable.
-	if baseline.Workload != nil {
-		switch {
-		case current.Workload == nil:
-			drift("workload: baseline has a workload section, current run has none")
-		case baseline.Workload.Version == current.Workload.Version:
-			compareWorkload(baseline.Workload, current.Workload, false, drift)
-		case baseline.Workload.Version == 1 && current.Workload.Version == WorkloadSchemaVersion:
-			// v1 baselines predate the multi-tenant fields; gate the
-			// legacy field subset so old baselines keep loading and
-			// comparing.
-			compareWorkload(baseline.Workload, current.Workload, true, drift)
-		default:
-			return fmt.Errorf("workload section v%d != current v%d: regenerate the baseline",
-				baseline.Workload.Version, current.Workload.Version)
-		}
-	}
-
-	if wallBudget > 0 && current.Wall.TotalMS > msFloat(wallBudget) {
-		drift("wall-clock: sweep took %.0fms, budget %v", current.Wall.TotalMS, wallBudget)
-	}
+		drifts = append(drifts, path+": "+fmt.Sprintf(format, args...))
+	})
 	if len(drifts) > 0 {
 		return fmt.Errorf("baseline drift (%d):\n  %s", len(drifts), strings.Join(drifts, "\n  "))
 	}
 	return nil
 }
 
-// compareWorkload diffs two workload sections cell by cell with zero
-// drift tolerance. legacy restricts the comparison to the v1 field
-// subset, so a v1 baseline still gates a v2 run.
-func compareWorkload(baseline, current *WorkloadArtifact, legacy bool, drift func(string, ...any)) {
-	if baseline.Loop != current.Loop || baseline.Mix != current.Mix ||
-		baseline.Dist != current.Dist || baseline.Clients != current.Clients ||
-		baseline.Procs != current.Procs || baseline.Seed != current.Seed {
-		drift("workload: shape mismatch: baseline (%s %s %s c=%d p=%d seed=%d) vs current (%s %s %s c=%d p=%d seed=%d)",
-			baseline.Loop, baseline.Mix, baseline.Dist, baseline.Clients, baseline.Procs, baseline.Seed,
-			current.Loop, current.Mix, current.Dist, current.Clients, current.Procs, current.Seed)
-		return
+// decodeJSON round-trips v through its JSON form, keeping numbers as
+// their literal text.
+func decodeJSON(v any) (any, error) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
 	}
-	if !legacy && (baseline.Classes != current.Classes || baseline.Replayed != current.Replayed) {
-		drift("workload: population mismatch: baseline (classes=%q replayed=%t) vs current (classes=%q replayed=%t)",
-			baseline.Classes, baseline.Replayed, current.Classes, current.Replayed)
-		return
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.UseNumber()
+	var out any
+	if err := dec.Decode(&out); err != nil {
+		return nil, err
 	}
-	pts := make(map[string]WorkloadCell, len(baseline.Points))
-	for _, c := range baseline.Points {
-		pts[fmt.Sprintf("%s/load=%g", c.Impl, c.OfferedOps)] = c
-	}
-	if len(baseline.Points) != len(current.Points) {
-		drift("workload: %d points, baseline has %d", len(current.Points), len(baseline.Points))
-	}
-	for _, c := range current.Points {
-		key := fmt.Sprintf("%s/load=%g", c.Impl, c.OfferedOps)
-		want, ok := pts[key]
-		if !ok {
-			drift("workload/%s: point missing from baseline", key)
-			continue
-		}
-		if legacy {
-			// A v1 baseline has no per-class data: blank the v2-only
-			// fields on both sides before the exact compare.
-			c.Fairness, c.PerClass = 0, nil
-			want.Fairness, want.PerClass = 0, nil
-		}
-		if !reflect.DeepEqual(c, want) {
-			drift("workload/%s: %+v, baseline %+v", key, c, want)
-		}
-	}
-	knees := make(map[string]WorkloadKneeCell, len(baseline.Knees))
-	for _, k := range baseline.Knees {
-		knees[k.Impl] = k
-	}
-	if len(baseline.Knees) != len(current.Knees) {
-		drift("workload: %d knees, baseline has %d", len(current.Knees), len(baseline.Knees))
-	}
-	for _, k := range current.Knees {
-		if want, ok := knees[k.Impl]; !ok {
-			drift("workload/knee/%s: missing from baseline", k.Impl)
-		} else if k != want {
-			drift("workload/knee/%s: %+v, baseline %+v", k.Impl, k, want)
+	return out, nil
+}
+
+// diffJSON walks two decoded JSON trees in step and reports each
+// difference under its path.
+func diffJSON(path string, base, cur any, drift func(path, format string, args ...any)) {
+	if b, ok := base.(map[string]any); ok {
+		if c, ok := cur.(map[string]any); ok {
+			keys := make([]string, 0, len(b)+len(c))
+			for k := range b {
+				keys = append(keys, k)
+			}
+			for k := range c {
+				if _, ok := b[k]; !ok {
+					keys = append(keys, k)
+				}
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				if hostKeys[k] {
+					continue
+				}
+				p := k
+				if path != "" {
+					p = path + "." + k
+				}
+				bv, inBase := b[k]
+				cv, inCur := c[k]
+				switch {
+				case !inBase:
+					drift(p, "missing from baseline")
+				case !inCur:
+					drift(p, "missing from current run")
+				default:
+					diffJSON(p, bv, cv, drift)
+				}
+			}
+			return
 		}
 	}
+	if b, ok := base.([]any); ok {
+		if c, ok := cur.([]any); ok {
+			if len(b) != len(c) {
+				drift(path, "%d entries, baseline %d", len(c), len(b))
+			}
+			for i := 0; i < len(b) && i < len(c); i++ {
+				diffJSON(fmt.Sprintf("%s[%d]", path, i), b[i], c[i], drift)
+			}
+			return
+		}
+	}
+	if b, c := leafText(base), leafText(cur); b != c {
+		drift(path, "%s, baseline %s", c, b)
+	}
+}
+
+// leafText renders a decoded JSON value for a drift report; objects and
+// arrays are summarized, not printed.
+func leafText(v any) string {
+	switch v := v.(type) {
+	case map[string]any:
+		return "{object}"
+	case []any:
+		return fmt.Sprintf("[%d entries]", len(v))
+	}
+	b, _ := json.Marshal(v)
+	return string(b)
 }

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"amoebasim/internal/apps"
@@ -115,11 +117,15 @@ func TestDecompositionJobsInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		a.GeneratedAt = "" // the only non-deterministic field
-		var buf bytes.Buffer
-		if err := causal.Write(&buf, a); err != nil {
+		path, err := WriteJSON(filepath.Join(t.TempDir(), "DECOMP_test.json"), "DECOMP", a)
+		if err != nil {
 			t.Fatal(err)
 		}
-		blobs = append(blobs, buf.Bytes())
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobs = append(blobs, blob)
 	}
 	if !bytes.Equal(blobs[0], blobs[1]) {
 		t.Fatalf("artifact differs between -jobs %d and -jobs %d", cfgs[0], cfgs[1])

@@ -3,6 +3,8 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -43,12 +45,16 @@ func TestObservabilityRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteObservabilityJSON(&buf, runs); err != nil {
+	path, err := WriteJSON(filepath.Join(t.TempDir(), "METRICS_test.json"), "METRICS", runs)
+	if err != nil {
 		t.Fatalf("write: %v", err)
 	}
+	written, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var back []ModeObservability
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+	if err := json.Unmarshal(written, &back); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
 	if len(back) != 2 || back[0].Mode != "kernel-space" || back[1].Mode != "user-space" {
@@ -59,7 +65,7 @@ func TestObservabilityRoundTrip(t *testing.T) {
 		t.Fatalf("re-marshal: %v", err)
 	}
 	again = append(again, '\n')
-	if !bytes.Equal(buf.Bytes(), again) {
+	if !bytes.Equal(written, again) {
 		t.Error("JSON did not round-trip byte-identically")
 	}
 }

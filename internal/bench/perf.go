@@ -9,11 +9,8 @@ package bench
 // the set-up, wall-clock and events/sec fields are host-dependent.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"strings"
 	"text/tabwriter"
 	"time"
 
@@ -24,13 +21,13 @@ import (
 )
 
 // PerfSchemaVersion identifies the PERF_*.json layout. Bump it when a
-// field changes meaning; the regression gate refuses to compare
-// artifacts across versions.
+// field changes meaning; Diff reports a version change as drift.
 const PerfSchemaVersion = 1
 
 // PerfArtifact is the machine-readable single-run performance baseline
-// (PERF_*.json). The per-cell simulated fields are gated with zero drift
-// tolerance; SetupMS, WallMS and EventsPerSec are informational.
+// (PERF_*.json). Diff gates every field with zero drift tolerance except
+// GeneratedAt and the per-cell SetupMS, WallMS and EventsPerSec, which
+// are host-dependent and informational.
 type PerfArtifact struct {
 	SchemaVersion int        `json:"schema_version"`
 	GeneratedAt   string     `json:"generated_at,omitempty"` // RFC 3339, informational
@@ -184,87 +181,4 @@ func PrintPerf(w io.Writer, art *PerfArtifact) {
 			c.SetupMS, c.WallMS, c.EventsPerSec/1e6)
 	}
 	tw.Flush()
-}
-
-// WritePerfArtifact emits the artifact as indented JSON.
-func WritePerfArtifact(w io.Writer, art *PerfArtifact) error {
-	b, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
-}
-
-// LoadPerfArtifact reads a PERF_*.json baseline from disk.
-func LoadPerfArtifact(path string) (*PerfArtifact, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var a PerfArtifact
-	if err := json.Unmarshal(b, &a); err != nil {
-		return nil, fmt.Errorf("parse perf baseline %s: %w", path, err)
-	}
-	return &a, nil
-}
-
-// ComparePerf is the perf regression gate: every deterministic field of
-// every cell must exactly equal the baseline. Set-up time, wall-clock
-// and events/sec are host-dependent and only checked against wallBudget
-// (the summed set-up plus wall time of all cells; 0 disables the check).
-func ComparePerf(baseline, current *PerfArtifact, wallBudget time.Duration) error {
-	if baseline.SchemaVersion != current.SchemaVersion {
-		return fmt.Errorf("perf baseline schema v%d != current v%d: regenerate the baseline",
-			baseline.SchemaVersion, current.SchemaVersion)
-	}
-	if baseline.Seed != current.Seed {
-		return fmt.Errorf("perf config mismatch: baseline seed=%d vs current seed=%d",
-			baseline.Seed, current.Seed)
-	}
-	var drifts []string
-	drift := func(format string, args ...any) {
-		drifts = append(drifts, fmt.Sprintf(format, args...))
-	}
-	cells := make(map[string]PerfCell, len(baseline.Cells))
-	for _, c := range baseline.Cells {
-		cells[c.Name] = c
-	}
-	if len(baseline.Cells) != len(current.Cells) {
-		drift("perf: %d cells, baseline has %d", len(current.Cells), len(baseline.Cells))
-	}
-	var wall float64
-	for _, c := range current.Cells {
-		wall += c.SetupMS + c.WallMS
-		want, ok := cells[c.Name]
-		if !ok {
-			drift("%s: cell missing from baseline", c.Name)
-			continue
-		}
-		if c.Procs != want.Procs || c.Segments != want.Segments || c.WindowMS != want.WindowMS {
-			drift("%s: shape (procs=%d segs=%d win=%gms), baseline (procs=%d segs=%d win=%gms)",
-				c.Name, c.Procs, c.Segments, c.WindowMS, want.Procs, want.Segments, want.WindowMS)
-			continue
-		}
-		if c.Ops != want.Ops {
-			drift("%s: ops %d, baseline %d", c.Name, c.Ops, want.Ops)
-		}
-		if c.Events != want.Events {
-			drift("%s: events %d, baseline %d", c.Name, c.Events, want.Events)
-		}
-		if c.SimNS != want.SimNS {
-			drift("%s: sim clock %dns, baseline %dns", c.Name, c.SimNS, want.SimNS)
-		}
-		if c.Checksum != want.Checksum {
-			drift("%s: client checksum %x, baseline %x", c.Name, c.Checksum, want.Checksum)
-		}
-	}
-	if wallBudget > 0 && wall > msFloat(wallBudget) {
-		drift("wall-clock: perf cells took %.0fms (set-up + run), budget %v", wall, wallBudget)
-	}
-	if len(drifts) > 0 {
-		return fmt.Errorf("perf baseline drift (%d):\n  %s", len(drifts), strings.Join(drifts, "\n  "))
-	}
-	return nil
 }

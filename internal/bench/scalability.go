@@ -1,11 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"strings"
 	"time"
 
 	"amoebasim/internal/cluster"
@@ -178,13 +175,15 @@ func ScalabilitySweep(cfg ScalabilitySweepConfig) (*ScalabilitySweepResult, erro
 	return res, nil
 }
 
-// ScalabilitySchemaVersion identifies the SCALE_*.json layout.
+// ScalabilitySchemaVersion identifies the SCALE_*.json layout. Bump it
+// when a field changes meaning; Diff reports a version change as drift.
 const ScalabilitySchemaVersion = 1
 
 // ScalabilityArtifact is the machine-readable scalability baseline
 // (SCALE_*.json): one cell per (sequencer strategy, cluster size) with the
 // bisected knee, plus the host's wall-clock accounting. Everything except
-// GeneratedAt and Wall is a pure function of the configuration and seed.
+// GeneratedAt and Wall is a pure function of the configuration and seed,
+// and Diff gates it with zero drift tolerance.
 type ScalabilityArtifact struct {
 	SchemaVersion int               `json:"schema_version"`
 	GeneratedAt   string            `json:"generated_at,omitempty"` // RFC 3339, informational
@@ -245,73 +244,6 @@ func NewScalabilityArtifact(res *ScalabilitySweepResult) *ScalabilityArtifact {
 		a.Wall.PerJob = append(a.Wall.PerJob, JobWall{Name: j.Name, WallMS: msFloat(j.Wall)})
 	}
 	return a
-}
-
-// WriteScalabilityArtifact emits the artifact as indented JSON.
-func WriteScalabilityArtifact(w io.Writer, a *ScalabilityArtifact) error {
-	b, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
-}
-
-// LoadScalabilityArtifact reads a SCALE_*.json baseline from disk.
-func LoadScalabilityArtifact(path string) (*ScalabilityArtifact, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var a ScalabilityArtifact
-	if err := json.Unmarshal(b, &a); err != nil {
-		return nil, fmt.Errorf("parse scalability baseline %s: %w", path, err)
-	}
-	return &a, nil
-}
-
-// CompareScalability is the regression gate: every knee cell of current
-// must exactly equal its baseline counterpart (zero drift tolerance).
-// GeneratedAt and Wall are host-dependent and never diffed.
-func CompareScalability(baseline, current *ScalabilityArtifact) error {
-	if baseline.SchemaVersion != current.SchemaVersion {
-		return fmt.Errorf("scalability baseline schema v%d != current v%d: regenerate the baseline",
-			baseline.SchemaVersion, current.SchemaVersion)
-	}
-	if baseline.Seed != current.Seed || baseline.Mix != current.Mix ||
-		baseline.Dist != current.Dist || baseline.WindowMS != current.WindowMS ||
-		baseline.SwitchFanIn != current.SwitchFanIn {
-		return fmt.Errorf("scalability config mismatch: baseline (seed=%d mix=%s dist=%s window=%gms fanin=%d) vs current (seed=%d mix=%s dist=%s window=%gms fanin=%d)",
-			baseline.Seed, baseline.Mix, baseline.Dist, baseline.WindowMS, baseline.SwitchFanIn,
-			current.Seed, current.Mix, current.Dist, current.WindowMS, current.SwitchFanIn)
-	}
-	var drifts []string
-	drift := func(format string, args ...any) {
-		drifts = append(drifts, fmt.Sprintf(format, args...))
-	}
-	cells := make(map[string]ScalabilityCell, len(baseline.Cells))
-	for _, c := range baseline.Cells {
-		cells[fmt.Sprintf("%s/p=%d", c.Strategy, c.Procs)] = c
-	}
-	if len(baseline.Cells) != len(current.Cells) {
-		drift("scalability: %d cells, baseline has %d", len(current.Cells), len(baseline.Cells))
-	}
-	for _, c := range current.Cells {
-		key := fmt.Sprintf("%s/p=%d", c.Strategy, c.Procs)
-		want, ok := cells[key]
-		if !ok {
-			drift("scalability/%s: cell missing from baseline", key)
-			continue
-		}
-		if c != want {
-			drift("scalability/%s: %+v, baseline %+v", key, c, want)
-		}
-	}
-	if len(drifts) > 0 {
-		return fmt.Errorf("scalability baseline drift (%d):\n  %s", len(drifts), strings.Join(drifts, "\n  "))
-	}
-	return nil
 }
 
 // PrintScalability renders the knee-vs-cluster-size curves per strategy.
